@@ -1,29 +1,21 @@
-"""Fluid-engine benchmark regression: vectorized vs scalar path.
+"""Sweep-harness throughput benchmark.
 
-Two scenarios pin the ``CHIMERA_FLUID_VECTOR`` work PR-over-PR:
-
-* ``figure6_7_end_to_end`` — the full Figure 6/7 periodic sweep run
-  alternately on the scalar and the vectorized fluid path (interleaved
-  min-of-N, cache and worker pool off so both paths execute
-  in-process). Bit-identity of the two paths' sweep results is
-  asserted on every round before any wall-clock number is recorded.
-* ``sweep_throughput`` — a 10k-spec sweep driven through the sharded
-  result cache with chunked submission, spec execution stubbed to a
-  constant so the number measures the *harness* (hashing, dedupe,
-  chunking, atomic cache writes, shard reads) rather than the
-  simulator. A cold pass executes everything; a warm pass must replay
-  entirely from the sharded cache.
+``sweep_throughput`` drives a 10k-spec sweep through the sharded result
+cache with chunked submission, spec execution stubbed to a constant so
+the number measures the *harness* (hashing, dedupe, chunking, atomic
+cache writes, shard reads) rather than the simulator. A cold pass
+executes everything; a warm pass must replay entirely from the sharded
+cache. The simulator's end-to-end speed is recorded by the repository
+benchmark's ``fig67_sweep`` workload (``perfbench/run.py``).
 
 Results land in machine-readable ``benchmarks/results/BENCH_fluid.json``
-(wall seconds, specs/s and the vector-over-scalar speedup) like
-``BENCH_cycle.json``.
+(wall seconds and specs/s, with the machine's ``cpu_count`` in
+``_meta``) like ``BENCH_cycle.json``.
 
-Scale knobs:
+Scale knob:
 
-* ``CHIMERA_BENCH_FLUID_QUICK`` — shrink both scenarios for CI smoke
-  (subset of benchmarks, one period, one round, 1k specs)
-* ``CHIMERA_FLUID_FAIL_BELOW``  — fail the end-to-end scenario if the
-  vectorized path's speedup over scalar drops below this factor
+* ``CHIMERA_BENCH_FLUID_QUICK`` — shrink the sweep to 1k specs for CI
+  smoke
 """
 
 from __future__ import annotations
@@ -35,7 +27,6 @@ import os
 from benchmarks.conftest import RESULTS_DIR, once
 from repro.harness import sweep as sweep_mod
 from repro.harness.cache import ResultCache
-from repro.harness.experiments import fluid_vector_ab
 from repro.harness.sweep import RunSpec, SweepRunner
 from repro.workloads.specs import benchmark_labels
 
@@ -55,22 +46,8 @@ def _record(name: str, entry: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     results = _read_results()
     results[name] = entry
-    results["_meta"] = {"quick": QUICK}
+    results["_meta"] = {"quick": QUICK, "cpu_count": os.cpu_count()}
     BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
-def test_figure6_7_end_to_end(benchmark):
-    if QUICK:
-        kwargs = dict(labels=("BS", "HS", "KM"), periods=1, rounds=1)
-    else:
-        kwargs = dict(periods=3, rounds=3)
-    ab = once(benchmark, lambda: fluid_vector_ab(seed=12345, **kwargs))
-    _record("figure6_7_end_to_end", ab)
-    floor = os.environ.get("CHIMERA_FLUID_FAIL_BELOW", "").strip()
-    if floor:
-        assert ab["speedup"] >= float(floor), (
-            f"vectorized fluid path only {ab['speedup']:.2f}x scalar "
-            f"(floor {floor}x)")
 
 
 def test_sweep_throughput(benchmark, tmp_path, monkeypatch):
@@ -92,7 +69,7 @@ def test_sweep_throughput(benchmark, tmp_path, monkeypatch):
             break
         seed += 1
     # Stub the executor: this scenario times the sweep harness, not the
-    # simulator (the end-to-end scenario above covers that).
+    # simulator.
     monkeypatch.setattr(
         sweep_mod, "execute_faulted",
         lambda spec, index, attempt: ({"spec": spec.describe()}, 1e-4))

@@ -11,8 +11,6 @@ Commands mirror the paper's experiments:
 * ``trace``                        — inspect, validate, or export event
                                      traces captured with ``--trace`` /
                                      ``CHIMERA_TRACE``
-* ``fluid-bench``                  — scalar vs vectorized fluid-engine
-                                     A/B (bit-identity + speedup)
 * ``traffic``                      — replay an open-arrival multi-tenant
                                      traffic scenario and report SLO
                                      attainment / goodput
@@ -119,29 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="threads per block")
     cycle.add_argument("--blocks-per-sm", type=_positive_int, default=2)
     cycle.add_argument("--scheduler", default="gto", choices=("rr", "gto"))
-    cycle.add_argument("--cycle-lockstep", action="store_true",
-                       help="tick every cycle instead of the synchronized "
-                            "fast-forward (also: CHIMERA_CYCLE_LOCKSTEP); "
-                            "results are bit-identical, only slower")
-
-    fluid = sub.add_parser(
-        "fluid-bench",
-        help="A/B the vectorized fluid engine against the scalar path")
-    fluid.add_argument("--bench", nargs="+", default=None,
-                       choices=benchmark_labels(), metavar="LABEL",
-                       help="benchmark labels (default: all of Table 2)")
-    fluid.add_argument("--periods", type=_positive_int, default=3,
-                       help="1 ms periods per periodic run")
-    fluid.add_argument("--rounds", type=_positive_int, default=3,
-                       help="interleaved scalar/vector repetitions; the "
-                            "speedup uses the per-path minimum")
-    fluid.add_argument("--seed", type=int, default=12345)
-    fluid.add_argument("--json", action="store_true",
-                       help="print the raw A/B record as JSON")
-    fluid.add_argument("--fail-below", type=_nonnegative_float, default=None,
-                       metavar="X",
-                       help="exit 1 if the speedup is below this factor "
-                            "(also: CHIMERA_FLUID_FAIL_BELOW)")
 
     traffic = sub.add_parser(
         "traffic",
@@ -551,8 +526,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
              else SchedulerKind.GREEDY_THEN_OLDEST)
     gpu = CycleGPU(kernels[args.kernel], grid_blocks=grid,
                    threads_per_block=args.tpb, num_sms=args.sms,
-                   blocks_per_sm=args.blocks_per_sm, scheduler=sched,
-                   lockstep=True if args.cycle_lockstep else None)
+                   blocks_per_sm=args.blocks_per_sm, scheduler=sched)
     start = time.perf_counter()
     result = gpu.run()
     wall = time.perf_counter() - start
@@ -561,42 +535,11 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     print(f"grid               {grid} blocks x {args.tpb} threads")
     print(f"device             {args.sms} SMs x {args.blocks_per_sm} blocks")
     print(f"scheduler          {args.scheduler}")
-    print(f"clock mode         {'lockstep' if gpu.lockstep else 'fast-forward'}")
     print(f"cycles             {result.cycles}")
     print(f"warp instructions  {result.total_instructions}")
     print(f"device IPC         {ipc:.3f}")
     print(f"wall time          {wall:.3f} s "
           f"({result.cycles / max(wall, 1e-9):,.0f} cycles/s)")
-    return 0
-
-
-def cmd_fluid_bench(args: argparse.Namespace) -> int:
-    """``fluid-bench``: interleaved scalar-vs-vector fluid A/B."""
-    import json
-
-    from repro.harness.experiments import fluid_vector_ab
-
-    ab = fluid_vector_ab(labels=args.bench, periods=args.periods,
-                         seed=args.seed, rounds=args.rounds)
-    if args.json:
-        print(json.dumps(ab, indent=2, sort_keys=True))
-    else:
-        print(f"benchmarks         {' '.join(ab['labels'])}")
-        print(f"policies           {' '.join(ab['policies'])}")
-        print(f"specs              {ab['specs']} "
-              f"({ab['periods']} periods, seed {ab['seed']})")
-        print(f"rounds             {ab['rounds']} per path, interleaved")
-        print(f"scalar wall        {ab['scalar_min_s']:.3f} s (min)")
-        print(f"vector wall        {ab['vector_min_s']:.3f} s (min)")
-        print(f"speedup            {ab['speedup']:.2f}x (bit-identical)")
-    floor = args.fail_below
-    if floor is None:
-        raw = os.environ.get("CHIMERA_FLUID_FAIL_BELOW", "").strip()
-        floor = float(raw) if raw else None
-    if floor is not None and ab["speedup"] < floor:
-        print(f"speedup {ab['speedup']:.2f}x is below the "
-              f"{floor:g}x floor", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -862,8 +805,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return cmd_trace(args)
     if args.command == "cycle":
         return cmd_cycle(args)
-    if args.command == "fluid-bench":
-        return cmd_fluid_bench(args)
     if args.command == "traffic":
         return cmd_traffic(args)
     if args.command == "serve":

@@ -18,14 +18,13 @@ wake-up across all SMs' wake heaps and jumps every co-clocked SM there
 at once. The jump changes nothing observable — cycle counts, issue/idle
 breakdowns, block latencies, flush grant/deny decisions, trace ordering
 and memory contents are bit-identical to ticking through the dead
-cycles one by one. Pass ``lockstep=True`` (or set
-``CHIMERA_CYCLE_LOCKSTEP``) to force the naive per-cycle loop for
-differential testing.
+cycles one by one. Pass ``lockstep=True`` to force the naive per-cycle
+loop: the differential tests and ``benchmarks/bench_cycle.py`` use it as
+the reference.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
@@ -41,15 +40,6 @@ from repro.sim import trace as trace_mod
 from repro.sim.trace import Tracer
 
 MAX_CYCLES = 20_000_000
-
-#: Environment knob forcing the per-cycle lockstep loop (differential
-#: debugging of the synchronized fast-forward).
-LOCKSTEP_ENV = "CHIMERA_CYCLE_LOCKSTEP"
-
-
-def lockstep_from_env() -> bool:
-    """True when ``CHIMERA_CYCLE_LOCKSTEP`` requests the naive loop."""
-    return bool(os.environ.get(LOCKSTEP_ENV, "").strip())
 
 
 @dataclass
@@ -80,7 +70,7 @@ class CycleGPU:
                  scheduler: SchedulerKind = SchedulerKind.GREEDY_THEN_OLDEST,
                  gmem: Optional[GlobalMemory] = None,
                  tracer: Optional[Tracer] = None,
-                 lockstep: Optional[bool] = None):
+                 lockstep: bool = False):
         if grid_blocks < 1 or num_sms < 1 or blocks_per_sm < 1:
             raise ConfigError("grid, SMs and blocks/SM must be positive")
         self.prog = prog
@@ -91,7 +81,7 @@ class CycleGPU:
         self.blocks_per_sm = blocks_per_sm
         self.config = config or GPUConfig()
         #: Per-cycle co-clocking instead of synchronized fast-forward.
-        self.lockstep = lockstep_from_env() if lockstep is None else lockstep
+        self.lockstep = lockstep
         self.gmem = gmem if gmem is not None else GlobalMemory(dict(prog.buffers))
         self.monitor = IdempotenceMonitor(num_sms)
         self.sms: List[WarpLevelSM] = [

@@ -9,13 +9,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro import vector as vector_mode
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.memory import MemorySubsystem
 from repro.gpu.sm import SMListener, SMState, StreamingMultiprocessor
-from repro.gpu.sm_vector import VectorSM
 from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
 
@@ -29,13 +27,9 @@ class GPU:
         self.engine = engine
         self.memory = MemorySubsystem(config)
         self.tracer = tracer
-        # The vector/scalar decision is taken per device build so tests
-        # can flip CHIMERA_FLUID_VECTOR (or the programmatic override)
-        # between runs of one process. Both SMs are bit-identical.
-        sm_cls = (VectorSM if vector_mode.vector_enabled()
-                  else StreamingMultiprocessor)
         self.sms: List[StreamingMultiprocessor] = [
-            sm_cls(i, config, engine, self.memory, listener, tracer=tracer)
+            StreamingMultiprocessor(i, config, engine, self.memory, listener,
+                                    tracer=tracer)
             for i in range(config.num_sms)
         ]
 

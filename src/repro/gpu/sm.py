@@ -25,16 +25,32 @@ cheaper technique (drain→switch, drain/switch→flush) when the realized
 latency is about to blow the plan's budget; the per-block hand-over
 events recorded on the :class:`PreemptionRecord` feed the guard's
 predicted-vs-realized calibration ledger.
+
+Plain completion is the fluid model's hottest path (~1M thread blocks
+per Figure 6/7 sweep), so :meth:`StreamingMultiprocessor._complete`
+runs it in one stack frame: block and kernel retirement, the
+thread-block scheduler's refill loop, fresh-block construction,
+dispatch and completion scheduling are inlined there instead of going
+through ``mark_done`` -> ``note_completed`` -> ``on_tb_complete`` ->
+``fill`` -> ``dispatch``. Every visible effect (trace events, TB and
+kernel statistics, event order) matches that per-call chain bit for
+bit; ``tests/test_fluid_differential.py`` runs the chain as its
+reference.
 """
 
 from __future__ import annotations
 
 import enum
+import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Tuple
+from functools import partial
+from heapq import heappush
+from typing import Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.core.techniques import Technique
-from repro.errors import EscalationError, PreemptionError, SchedulingError
+from repro.errors import (EscalationError, PreemptionError, SchedulingError,
+                          SimulationError)
 from repro.gpu.config import GPUConfig
 from repro.gpu.kernel import Kernel
 from repro.gpu.memory import MemorySubsystem
@@ -49,6 +65,18 @@ class SMState(enum.Enum):
     IDLE = "idle"
     RUNNING = "running"
     PREEMPTING = "preempting"
+
+
+# Module-level aliases for the fused completion loop: enum-member and
+# math-constant attribute lookups cost ~40ns each and that loop runs
+# ~1M times per figure sweep.
+_PENDING = TBState.PENDING
+_RUNNING = TBState.RUNNING
+_SAVED = TBState.SAVED
+_DONE = TBState.DONE
+_PREEMPTING = SMState.PREEMPTING
+_INF = math.inf
+_new_event = Event.__new__
 
 
 @dataclass
@@ -118,6 +146,21 @@ class StreamingMultiprocessor:
         #: Save-DMA event label, built once: labels are only read on
         #: error paths, so per-call f-strings would be pure overhead.
         self._save_label = f"SM{sm_id}:save"
+        #: Slot capacity under the current kernel, cached at assign()
+        #: so the refill loop skips the max_slots property tower.
+        self._cap = 0
+        #: The kernel's preempted-block deque, cached at assign() so
+        #: the refill loop skips a dict lookup per completion. None
+        #: when the listener is not the thread-block scheduler (bare
+        #: test listeners): those completions take the plain protocol.
+        self._pq: Optional[Deque[ThreadBlock]] = None
+        # Imported here, not at module scope: repro.gpu loads before
+        # repro.sched during package init, so a top-level import of the
+        # scheduler would be circular.
+        from repro.sched.tb_scheduler import ThreadBlockScheduler
+        self._sched = (listener
+                       if isinstance(listener, ThreadBlockScheduler)
+                       else None)
 
     def _trace(self, category: str, message: str, **payload) -> None:
         # Call sites guard on ``self.tracer is not None`` themselves so
@@ -164,6 +207,13 @@ class StreamingMultiprocessor:
             raise SchedulingError(f"SM{self.sm_id}: assign while busy")
         self.kernel = kernel
         self.state = SMState.RUNNING
+        self._cap = min(kernel.spec.tbs_per_sm, self.config.max_tbs_per_sm)
+        if self._sched is not None:
+            # Materialize the deque eagerly (on_tb_preempted would
+            # setdefault the same entry later) so the hot loop holds a
+            # direct reference instead of re-fetching it per event.
+            self._pq = self._sched._preempted.setdefault(kernel.kernel_id,
+                                                         deque())
         if self.tracer is not None:
             self._trace(trace_mod.ASSIGN, f"SM{self.sm_id} -> {kernel.name}",
                         kernel=kernel.name)
@@ -225,28 +275,152 @@ class StreamingMultiprocessor:
 
     def _complete(self, tb: ThreadBlock) -> None:
         self._completion_events.pop(tb.index, None)
-        now = self.engine.now
-        tb.mark_done(now)
-        self.resident.remove(tb)
-        tb.kernel.note_completed(tb)
-        if self.state is SMState.PREEMPTING:
-            if tb in self._draining:
-                self._draining.remove(tb)
-            self._vacated.append((now, tb.rate))
-            if self._record is not None:
-                self._record.tb_events.append(
-                    (tb.index, Technique.DRAIN.value,
-                     now - self._record.request_time))
-            if self.tracer is not None:
-                self._trace(trace_mod.DRAIN, f"{tb.kernel.name}#{tb.index}",
-                            kernel=tb.kernel.name, tb=tb.index)
-            self._maybe_release()
-        else:
-            if self.tracer is not None:
-                self._trace(trace_mod.COMPLETE,
-                            f"{tb.kernel.name}#{tb.index}",
-                            kernel=tb.kernel.name, tb=tb.index)
+        engine = self.engine
+        now = engine._now
+        # Inlined mark_done: only the cycle counter survives the final
+        # advance (executed_insts is overwritten with the total).
+        last = tb._last_advance
+        if last is not None and tb.state is _RUNNING:
+            dt = now - last
+            if dt < 0:
+                raise SimulationError(
+                    f"TB {tb.index}: time went backwards ({last} -> {now})")
+            tb.executed_cycles += dt
+        tb.executed_insts = total = tb.total_insts
+        tb.state = _DONE
+        tb.finish_time = now
+        tb._last_advance = None
+        resident = self.resident
+        resident.remove(tb)
+        kernel = tb.kernel
+        # Inlined Kernel.note_completed (O(1) live-map removal).
+        try:
+            del kernel._live[tb.index]
+        except KeyError:
+            raise SimulationError(f"{tb!r} was not resident") from None
+        stats = kernel.stats
+        stats.tbs_completed += 1
+        stats.insts_retired += total
+        stats.cycles_retired += tb.executed_cycles
+        stats.tb_insts_sumsq += total * total
+        if total > stats.tb_insts_max:
+            stats.tb_insts_max = total
+        if self.state is _PREEMPTING:
+            self._drained(tb, now)
+            return
+        tracer = self.tracer
+        if tracer is not None:
+            self._trace(trace_mod.COMPLETE, f"{kernel.name}#{tb.index}",
+                        kernel=kernel.name, tb=tb.index)
+        pq = self._pq
+        if pq is None:
             self.listener.on_tb_complete(self, tb)
+            return
+        # Fused ThreadBlockScheduler.on_tb_complete + fill: the hottest
+        # callback in the fluid model, once per plain completion.
+        sched = self._sched
+        if stats.tbs_completed >= kernel.grid_tbs:
+            sched.kernel_scheduler.on_kernel_finished(kernel)
+            return
+        cap = self._cap
+        grid = kernel.grid_tbs
+        totals = kernel._tb_totals
+        rates = kernel._tb_rates
+        fracs = kernel._nonidem_fracs
+        live = kernel._live
+        seq_counter = engine._seq
+        heap = engine._queue
+        events = self._completion_events
+        complete = self._complete
+        new_tb = ThreadBlock.__new__
+        dispatched = False
+        while len(resident) < cap:
+            if pq:
+                nxt = pq.popleft()
+                if nxt.state is _SAVED:
+                    # Switched block: full restore path (DMA + load).
+                    self.dispatch(nxt)
+                    dispatched = True
+                    continue
+            elif (index := kernel._next_index) < grid:
+                # Inlined Kernel.make_tb + ThreadBlock.__init__ (the
+                # batch draws already guarantee positive totals and
+                # rates, so the constructor's checks are redundant).
+                kernel._next_index = index + 1
+                nxt = new_tb(ThreadBlock)
+                nxt.kernel = kernel
+                nxt.index = index
+                nxt.total_insts = t = totals[index]
+                nxt.rate = rates[index]
+                nxt.nonidem_at = (_INF if fracs is None
+                                  else fracs[index] * t)
+                nxt.state = _PENDING
+                nxt.executed_insts = 0.0
+                nxt.executed_cycles = 0.0
+                nxt.flush_count = 0
+                nxt._last_advance = None
+                nxt.dispatch_time = None
+                nxt.finish_time = None
+            else:
+                break
+            # Inlined dispatch + start_running + completion scheduling
+            # for fresh and flushed (non-SAVED) blocks. The loop holds
+            # the invariants dispatch() re-validates per call: the SM
+            # is RUNNING, the block belongs to this kernel, a slot is
+            # free.
+            resident.append(nxt)
+            nidx = nxt.index
+            live[nidx] = nxt
+            if tracer is not None:
+                self._trace(trace_mod.DISPATCH, f"{kernel.name}#{nidx}",
+                            kernel=kernel.name, tb=nidx, restored=False)
+            if nxt.state is _DONE:
+                raise SimulationError(f"TB {nidx} already done")
+            nxt.state = _RUNNING
+            nxt._last_advance = now
+            if nxt.dispatch_time is None:
+                nxt.dispatch_time = now
+            # executed_insts is 0.0 for every block on this path (fresh
+            # blocks and flushed reruns; restored ones took the SAVED
+            # branch), so completion_delay()'s max(0.0, ...) clamp is a
+            # no-op here.
+            delay = (nxt.total_insts - nxt.executed_insts) / nxt.rate
+            # Inlined Engine.schedule: delay is non-negative by
+            # construction and the completion event carries no label.
+            # partial() fires C-level, saving a Python frame per
+            # completion relative to a lambda.
+            event = _new_event(Event)
+            event.time = when = now + delay
+            event.seq = seq = next(seq_counter)
+            event.callback = partial(complete, nxt)
+            event.label = ""
+            event._cancelled = False
+            event._engine = engine
+            heappush(heap, (when, seq, event))
+            engine._live += 1
+            events[nidx] = event
+            dispatched = True
+        if dispatched and kernel._next_index >= grid:
+            sched.kernel_scheduler.note_fully_dispatched(kernel)
+        if not resident and not pq and kernel._next_index >= grid:
+            # Size-bound tail: the kernel cannot use this SM any more.
+            self.unassign()
+            sched.kernel_scheduler.on_sm_idle(self)
+
+    def _drained(self, tb: ThreadBlock, now: float) -> None:
+        """Hand-over bookkeeping for a block that retired while its SM
+        was preempting (a drained block)."""
+        if tb in self._draining:
+            self._draining.remove(tb)
+        self._vacated.append((now, tb.rate))
+        if self._record is not None:
+            self._record.tb_events.append(
+                (tb.index, Technique.DRAIN.value,
+                 now - self._record.request_time))
+        if self.tracer is not None:
+            self._trace(trace_mod.DRAIN, f"{tb.kernel.name}#{tb.index}",
+                        kernel=tb.kernel.name, tb=tb.index)
+        self._maybe_release()
 
     # ------------------------------------------------------------------
     # preemption

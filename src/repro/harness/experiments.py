@@ -296,101 +296,3 @@ def case_study_sweep(workloads: Sequence[MultiprogramWorkload],
         for policy in policies:
             record(policy, next(results))
     return out
-
-
-# ----------------------------------------------------------------------
-# vectorized-fluid-path A/B
-# ----------------------------------------------------------------------
-
-
-def _canon(obj):
-    """Canonicalize a result tree for exact comparison: floats (and
-    anything json cannot encode, e.g. enum dict keys) via ``repr`` so
-    distinct bit patterns never collapse to the same text."""
-    if isinstance(obj, dict):
-        return [[repr(k), _canon(v)]
-                for k, v in sorted(obj.items(), key=lambda kv: repr(kv[0]))]
-    if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    if isinstance(obj, float):
-        return repr(obj)
-    if isinstance(obj, (str, int, bool)) or obj is None:
-        return obj
-    return repr(obj)
-
-
-def fluid_vector_ab(labels: Optional[Sequence[str]] = None,
-                    policies: Sequence[str] = POLICY_NAMES,
-                    constraint_us: float = 15.0,
-                    periods: int = 3,
-                    seed: int = 12345,
-                    rounds: int = 3) -> Dict[str, object]:
-    """Scalar-vs-vector A/B of the Figure 6/7 periodic sweep.
-
-    Runs the identical sweep alternately on the scalar and the
-    vectorized fluid path — interleaved, ``rounds`` times each, with
-    the result cache and worker pool disabled so every run executes in
-    this process where the path override applies — asserting the two
-    paths bit-identical each round, and returns the min-of-rounds wall
-    clocks plus the vector-over-scalar speedup. The interleaving and
-    the min are deliberate: back-to-back single runs are dominated by
-    machine noise at the +/-10% level this comparison cares about.
-    """
-    import dataclasses
-    import json
-    import time
-
-    from repro import vector as vector_mode
-    from repro.errors import SimulationError
-    from repro.gpu.kernel import reset_kernel_ids
-    from repro.harness.cache import ResultCache
-
-    labels = list(labels) if labels is not None else benchmark_labels()
-
-    def one(vec: bool):
-        vector_mode.set_vector_override(vec)
-        reset_kernel_ids()
-        runner = SweepRunner(jobs=1, cache=ResultCache(enabled=False))
-        try:
-            start = time.perf_counter()
-            sweep = figure6_7(labels=labels, policies=policies,
-                              constraint_us=constraint_us, periods=periods,
-                              seed=seed, runner=runner)
-            wall = time.perf_counter() - start
-        finally:
-            vector_mode.set_vector_override(None)
-        return wall, json.dumps(_canon(dataclasses.asdict(sweep)))
-
-    scalar_walls: List[float] = []
-    vector_walls: List[float] = []
-    reference: Optional[str] = None
-    for _ in range(rounds):
-        wall, text = one(False)
-        scalar_walls.append(wall)
-        if reference is None:
-            reference = text
-        elif text != reference:
-            raise SimulationError(
-                "scalar fluid path nondeterministic across rounds")
-        wall, text = one(True)
-        vector_walls.append(wall)
-        if text != reference:
-            raise SimulationError(
-                "vectorized fluid path diverged from the scalar path")
-    scalar_s = min(scalar_walls)
-    vector_s = min(vector_walls)
-    return {
-        "labels": list(labels),
-        "policies": list(policies),
-        "constraint_us": constraint_us,
-        "periods": periods,
-        "seed": seed,
-        "rounds": rounds,
-        "specs": len(labels) * len(policies),
-        "scalar_wall_s": [round(w, 4) for w in scalar_walls],
-        "vector_wall_s": [round(w, 4) for w in vector_walls],
-        "scalar_min_s": round(scalar_s, 4),
-        "vector_min_s": round(vector_s, 4),
-        "speedup": round(scalar_s / max(vector_s, 1e-9), 3),
-        "identical": True,
-    }

@@ -14,9 +14,9 @@ import math
 import random
 from typing import Dict, List
 
-from repro import vector as _vector_mode
+from repro.sim import rng_vector
 
-#: Below this batch size the numpy path's fixed costs (state copies,
+#: Below this batch size the numpy fill's fixed costs (state copies,
 #: array setup) outweigh the per-draw win; the scalar loop runs instead.
 #: The two paths are bit-identical either way.
 _VECTOR_MIN_N = 512
@@ -58,10 +58,12 @@ class RngStreams:
                         n: int) -> List[float]:
         """Draw ``n`` lognormal values in one call.
 
-        The ``mu``/``sigma`` transform is computed once and the stream's
-        bound ``lognormvariate`` is called ``n`` times, so the sequence
-        of values is bit-identical to ``n`` calls of :meth:`lognormal`
-        (same stream state transitions, same floats). ``cv == 0``
+        The ``mu``/``sigma`` transform is computed once; batches of
+        ``_VECTOR_MIN_N`` or more come from the numpy fill in
+        :mod:`repro.sim.rng_vector`, smaller ones from the stream's bound
+        ``lognormvariate``. Either way the sequence of values is
+        bit-identical to ``n`` calls of :meth:`lognormal` (same stream
+        state transitions, same floats). ``cv == 0``
         returns ``[mean] * n`` without touching the stream, matching the
         scalar method's draw-free shortcut.
         """
@@ -75,8 +77,7 @@ class RngStreams:
         mu = math.log(mean) - sigma2 / 2.0
         sigma = math.sqrt(sigma2)
         stream = self.stream(name)
-        if n >= _VECTOR_MIN_N and _vector_mode.vector_enabled():
-            from repro.sim import rng_vector
+        if n >= _VECTOR_MIN_N:
             return rng_vector.lognormal_fill(stream, mu, sigma, n)
         draw = stream.lognormvariate
         return [draw(mu, sigma) for _ in range(n)]
@@ -92,8 +93,7 @@ class RngStreams:
         if n <= 0:
             return []
         stream = self.stream(name)
-        if n >= _VECTOR_MIN_N and _vector_mode.vector_enabled():
-            from repro.sim import rng_vector
+        if n >= _VECTOR_MIN_N:
             try:
                 return rng_vector.beta_fill(stream, alpha, beta, n)
             except rng_vector.VectorUnsupported:

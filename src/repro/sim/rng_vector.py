@@ -48,10 +48,7 @@ import math
 import random as _random_mod
 from typing import List, Optional, Tuple
 
-try:  # pragma: no cover - import guard mirrors repro.vector
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+import numpy as np
 
 # Constants from the stdlib sampler implementations (random.py).
 NV_MAGICCONST = _random_mod.NV_MAGICCONST
@@ -162,8 +159,6 @@ def lognormal_fill(stream: "_random_mod.Random", mu: float, sigma: float,
                    n: int) -> List[float]:
     """``[stream.lognormvariate(mu, sigma) for _ in range(n)]``,
     bit-exactly, leaving ``stream`` in the identical final state."""
-    if np is None:
-        raise VectorUnsupported("numpy unavailable")
     if n <= 0:
         return []
     block = _UniformBlock(stream.getstate())
@@ -316,8 +311,6 @@ def beta_fill(stream: "_random_mod.Random", alpha: float, beta: float,
               n: int) -> List[float]:
     """``[stream.betavariate(alpha, beta) for _ in range(n)]``,
     bit-exactly, leaving ``stream`` in the identical final state."""
-    if np is None:
-        raise VectorUnsupported("numpy unavailable")
     if n <= 0:
         return []
     if alpha <= 0.0 or beta <= 0.0:

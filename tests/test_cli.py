@@ -168,38 +168,6 @@ def test_periodic_with_trace_capture(capsys, tmp_path, monkeypatch):
     assert "OK" in out
 
 
-class TestFluidBenchCommand:
-    ARGS = ("fluid-bench", "--bench", "BS", "--periods", "1", "--rounds", "1")
-
-    def test_reports_speedup_and_identity(self, capsys):
-        code, out = run_cli(capsys, *self.ARGS)
-        assert code == 0
-        assert "bit-identical" in out
-        assert "speedup" in out
-
-    def test_json_output(self, capsys):
-        import json
-
-        code, out = run_cli(capsys, *self.ARGS, "--json")
-        assert code == 0
-        record = json.loads(out)
-        assert record["identical"] is True
-        assert record["specs"] == 4  # 1 benchmark x 4 policies
-
-    def test_fail_below_floor(self, capsys):
-        code, _ = run_cli(capsys, *self.ARGS, "--fail-below", "1e9")
-        assert code == 1
-
-    def test_env_floor(self, capsys, monkeypatch):
-        monkeypatch.setenv("CHIMERA_FLUID_FAIL_BELOW", "1e9")
-        code, _ = run_cli(capsys, *self.ARGS)
-        assert code == 1
-
-    def test_rejects_unknown_bench(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fluid-bench", "--bench", "NOPE"])
-
-
 class TestLogLevelAndExitCodes:
     """Global --log-level wiring and the uniform exit-code contract:
     0 success, 1 spec/job failure, 2 usage or configuration error."""

@@ -1,10 +1,15 @@
-"""Differential property tests: vectorized vs scalar fluid engine.
+"""Differential property tests: fused fluid engine vs its reference.
 
-The ``CHIMERA_FLUID_VECTOR`` path (:class:`~repro.gpu.sm_vector.VectorSM`
-plus the batched RNG fills in :mod:`repro.sim.rng_vector`) must be
-*bit-identical* to the scalar fluid model: random scenarios — pair and
+:class:`~repro.gpu.sm.StreamingMultiprocessor` runs plain completion as
+one fused stack frame, and :class:`~repro.sim.rng.RngStreams` fills
+grids of ``_VECTOR_MIN_N`` or more blocks through the numpy replay in
+:mod:`repro.sim.rng_vector`. Both must be *bit-identical* to the
+per-call chain they replace. That chain lives here as the test-local
+:class:`ReferenceSM` (``mark_done`` -> ``note_completed`` ->
+``listener.on_tb_complete``), and the reference run also forces every
+batch draw through the stdlib loop. Random scenarios — pair and
 periodic runs across preemption policies, seeds, QoS guard modes and
-injected faults — are executed once per path and compared on
+injected faults — are executed once per engine and compared on
 
 * the full result dataclass (metrics, per-benchmark rollups and the
   QoS guard ledger), both structurally and through a canonical JSON
@@ -20,28 +25,42 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import vector as vector_mode
+from repro.gpu import gpu as gpu_mod
 from repro.gpu.config import GPUConfig
-from repro.gpu.gpu import GPU
 from repro.gpu.kernel import reset_kernel_ids
-from repro.gpu.sm import StreamingMultiprocessor
-from repro.gpu.sm_vector import VectorSM
+from repro.gpu.sm import SMState, StreamingMultiprocessor
 from repro.harness import faults
 from repro.harness.runner import run_pair, run_periodic, run_solo
 from repro.sched.kernel_scheduler import SchedulerMode
-from repro.sim.engine import Engine
+from repro.sim import rng as rng_mod
+from repro.sim import trace as trace_mod
 from repro.sim.trace import Tracer, dumps_jsonl
 from repro.workloads.multiprogram import MultiprogramWorkload
 
-from tests.conftest import StubListener
 
-pytestmark = pytest.mark.skipif(not vector_mode.HAVE_NUMPY,
-                                reason="numpy unavailable")
+class ReferenceSM(StreamingMultiprocessor):
+    """The SM with the per-call completion chain the runtime fuses."""
+
+    def _complete(self, tb):
+        self._completion_events.pop(tb.index, None)
+        now = self.engine.now
+        tb.mark_done(now)
+        self.resident.remove(tb)
+        tb.kernel.note_completed(tb)
+        if self.state is SMState.PREEMPTING:
+            self._drained(tb, now)
+            return
+        if self.tracer is not None:
+            self._trace(trace_mod.COMPLETE, f"{tb.kernel.name}#{tb.index}",
+                        kernel=tb.kernel.name, tb=tb.index)
+        self.listener.on_tb_complete(self, tb)
+
 
 BUDGET = 2e6
 
@@ -73,27 +92,28 @@ def _canonical(result) -> str:
     return json.dumps(_canon(dataclasses.asdict(result)))
 
 
-def _observe(vec: bool, scenario):
-    """Run ``scenario(tracer)`` on one path; return (result, trace)."""
-    vector_mode.set_vector_override(vec)
+def _observe(reference: bool, scenario):
+    """Run ``scenario(tracer)`` on the runtime engine or, with
+    ``reference``, on :class:`ReferenceSM` with every batch draw on the
+    stdlib loop; return (result, trace)."""
     reset_kernel_ids()
     tracer = Tracer()
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(gpu_mod, "StreamingMultiprocessor", ReferenceSM)
+            mp.setattr(rng_mod, "_VECTOR_MIN_N", sys.maxsize)
         result = scenario(tracer)
-    finally:
-        vector_mode.set_vector_override(None)
     return result, dumps_jsonl(tracer)
 
 
 def assert_paths_identical(scenario):
-    """Run ``scenario`` on both paths and require bit-identity."""
-    scalar_result, scalar_trace = _observe(False, scenario)
-    vector_result, vector_trace = _observe(True, scenario)
-    assert dataclasses.asdict(vector_result) == \
-        dataclasses.asdict(scalar_result)
-    assert _canonical(vector_result) == _canonical(scalar_result)
-    assert vector_trace == scalar_trace
-    return scalar_result
+    """Run ``scenario`` on both engines and require bit-identity."""
+    ref_result, ref_trace = _observe(True, scenario)
+    result, trace = _observe(False, scenario)
+    assert dataclasses.asdict(result) == dataclasses.asdict(ref_result)
+    assert _canonical(result) == _canonical(ref_result)
+    assert trace == ref_trace
+    return ref_result
 
 
 class TestPairDifferential:
@@ -139,7 +159,7 @@ class TestPeriodicDifferential:
 
 
 class TestFaultDifferential:
-    """Injected faults must perturb both paths identically."""
+    """Injected faults must perturb both engines identically."""
 
     @pytest.mark.parametrize("plan", [
         "stall-drain@0:4",
@@ -158,7 +178,7 @@ class TestFaultDifferential:
 
     def test_strict_qos_failure_is_identical(self):
         """A guard blow-up under ``strict`` must raise the same error
-        at the same point on both paths (the partial trace agrees)."""
+        at the same point on both engines (the partial trace agrees)."""
         config = GPUConfig(qos_mode="strict", qos_slack=0.0)
 
         def scenario(tracer):
@@ -170,40 +190,8 @@ class TestFaultDifferential:
                     return ("raised", type(exc).__name__, str(exc))
             return ("completed",)
 
-        scalar, scalar_trace = _observe(False, scenario)
-        vector, vector_trace = _observe(True, scenario)
-        assert vector == scalar
-        assert vector_trace == scalar_trace
+        reference, reference_trace = _observe(True, scenario)
+        outcome, trace = _observe(False, scenario)
+        assert outcome == reference
+        assert trace == reference_trace
 
-
-class TestEnvKnob:
-    def test_vector_env_default_on(self, monkeypatch):
-        monkeypatch.delenv("CHIMERA_FLUID_VECTOR", raising=False)
-        vector_mode.set_vector_override(None)
-        assert vector_mode.vector_enabled()
-        monkeypatch.setenv("CHIMERA_FLUID_VECTOR", "0")
-        assert not vector_mode.vector_enabled()
-        monkeypatch.setenv("CHIMERA_FLUID_VECTOR", "off")
-        assert not vector_mode.vector_enabled()
-        monkeypatch.setenv("CHIMERA_FLUID_VECTOR", "1")
-        assert vector_mode.vector_enabled()
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("CHIMERA_FLUID_VECTOR", "1")
-        vector_mode.set_vector_override(False)
-        try:
-            assert not vector_mode.vector_enabled()
-        finally:
-            vector_mode.set_vector_override(None)
-
-    @pytest.mark.parametrize("vec,sm_cls", [
-        (True, VectorSM), (False, StreamingMultiprocessor)])
-    def test_gpu_builds_matching_sm_class(self, vec, sm_cls):
-        vector_mode.set_vector_override(vec)
-        try:
-            gpu = GPU(GPUConfig(num_sms=4, num_memory_partitions=2,
-                                memory_bandwidth_gbps=23.7),
-                      Engine(), StubListener())
-        finally:
-            vector_mode.set_vector_override(None)
-        assert all(type(sm) is sm_cls for sm in gpu.sms)

@@ -4,9 +4,9 @@
 :func:`~repro.sim.rng_vector.beta_fill` promise the *identical* floats
 — and the identical final Mersenne Twister state — as the equivalent
 stdlib ``random.Random`` loop. The fluid model's determinism (and the
-scalar/vector differential suite) rests on that promise, so it is
-pinned here directly against the stdlib across the distribution
-parameters the workload table actually uses, plus the fallback and
+fluid differential suite) rests on that promise, so it is pinned here
+directly against the stdlib across the distribution parameters the
+workload table actually uses, plus the fallback and
 unsupported-parameter edges.
 """
 
@@ -16,12 +16,8 @@ import random
 
 import pytest
 
-from repro import vector as vector_mode
 from repro.sim import rng_vector
 from repro.sim.rng import _VECTOR_MIN_N, RngStreams
-
-pytestmark = pytest.mark.skipif(not vector_mode.HAVE_NUMPY,
-                                reason="numpy unavailable")
 
 #: Every (alpha, beta) pair that appears as a non-idempotent-point
 #: distribution in the Table 2 kernel specs, plus the symmetric (1, 1).
@@ -149,8 +145,9 @@ class TestSharedBitgenInterleaving:
 
 
 class TestRngStreamsGate:
-    """The batch APIs in :class:`RngStreams` route through the vector
-    fills only above ``_VECTOR_MIN_N`` and only when the path is on."""
+    """The batch APIs in :class:`RngStreams` route through the numpy
+    fills from ``_VECTOR_MIN_N`` blocks up, and give exactly what a
+    stdlib loop on the same named stream gives."""
 
     def _boom(self, *args, **kwargs):  # pragma: no cover - must not run
         raise AssertionError("vector fill called below the size gate")
@@ -158,33 +155,32 @@ class TestRngStreamsGate:
     def test_small_batches_stay_scalar(self, monkeypatch):
         monkeypatch.setattr(rng_vector, "lognormal_fill", self._boom)
         monkeypatch.setattr(rng_vector, "beta_fill", self._boom)
-        vector_mode.set_vector_override(True)
-        try:
-            streams = RngStreams(5)
-            streams.lognormal_batch("a", 10.0, 0.3, _VECTOR_MIN_N - 1)
-            streams.beta_batch("b", 8.0, 2.0, _VECTOR_MIN_N - 1)
-        finally:
-            vector_mode.set_vector_override(None)
+        streams = RngStreams(5)
+        streams.lognormal_batch("a", 10.0, 0.3, _VECTOR_MIN_N - 1)
+        streams.beta_batch("b", 8.0, 2.0, _VECTOR_MIN_N - 1)
 
     @pytest.mark.parametrize("n", [_VECTOR_MIN_N, 2000])
-    def test_vector_and_scalar_batches_identical(self, n):
-        def draw(vec):
-            vector_mode.set_vector_override(vec)
-            try:
-                streams = RngStreams(77)
-                return (streams.lognormal_batch("k", 10.0, 0.3, n),
-                        streams.beta_batch("k", 8.0, 2.0, n))
-            finally:
-                vector_mode.set_vector_override(None)
+    def test_vector_and_scalar_batches_identical(self, n, monkeypatch):
+        filled = []
 
-        assert draw(True) == draw(False)
+        def spy(fill):
+            def wrapper(*args):
+                filled.append(fill.__name__)
+                return fill(*args)
+            return wrapper
+
+        for fill in (rng_vector.lognormal_fill, rng_vector.beta_fill):
+            monkeypatch.setattr(rng_vector, fill.__name__, spy(fill))
+        streams = RngStreams(77)
+        lognormals = streams.lognormal_batch("k", 10.0, 0.3, n)
+        betas = streams.beta_batch("k", 8.0, 2.0, n)
+        assert filled == ["lognormal_fill", "beta_fill"]
+        ref = RngStreams(77)
+        assert lognormals == [ref.lognormal("k", 10.0, 0.3)
+                              for _ in range(n)]
+        assert betas == [ref.beta("k", 8.0, 2.0) for _ in range(n)]
 
     def test_unsupported_alpha_falls_back_to_scalar(self):
-        def draw(vec):
-            vector_mode.set_vector_override(vec)
-            try:
-                return RngStreams(9).beta_batch("k", 0.5, 2.0, 600)
-            finally:
-                vector_mode.set_vector_override(None)
-
-        assert draw(True) == draw(False)
+        got = RngStreams(9).beta_batch("k", 0.5, 2.0, 600)
+        ref = RngStreams(9)
+        assert got == [ref.beta("k", 0.5, 2.0) for _ in range(600)]
