@@ -6,7 +6,8 @@ are atomic drops into ``spool/``, cancellation and drain are marker
 files, and status is a *read-only replay* of the journal — the exact
 code path the daemon itself recovers through, which means "what the
 client sees" and "what a restart would recover" are the same thing by
-construction.
+construction. A long-lived client reads the journal incrementally: each
+call applies only the records appended since the previous one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import random
 import time
 import uuid
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import AdmissionError, ServiceError
 from repro.harness.sweep import RunSpec
@@ -28,7 +29,13 @@ from repro.service.daemon import (
     reconcile_qos,
 )
 from repro.service.state import JobState, is_terminal
-from repro.service.store import JobTable, JournalStore, spec_to_dict
+from repro.service.store import (
+    JobTable,
+    JournalStore,
+    check_sequence,
+    read_journal,
+    spec_to_dict,
+)
 
 #: Rejection reasons worth resubmitting after a backoff (transient
 #: overload); anything else is permanent for this submission.
@@ -39,7 +46,11 @@ __all__ = ["RETRYABLE_REASONS", "ServiceClient"]
 
 
 class ServiceClient:
-    """Submit, inspect, cancel, and await jobs in a service directory."""
+    """Submit, inspect, cancel, and await jobs in a service directory.
+
+    A client caches the journal it has read, so give each thread its
+    own.
+    """
 
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory if directory is not None
@@ -47,6 +58,13 @@ class ServiceClient:
         self.spool_dir = self.directory / "spool"
         self.results_dir = self.directory / "results"
         self.control_dir = self.directory / "control"
+        #: The journal read so far: its (device, inode), the offset
+        #: just past its last whole record, the next seq expected there,
+        #: and the job table its records built.
+        self._journal_id: Optional[Tuple[int, int]] = None
+        self._journal_end = 0
+        self._journal_seq = 0
+        self._jobs = JobTable()
 
     # -- submission ----------------------------------------------------
 
@@ -119,8 +137,35 @@ class ServiceClient:
     # -- inspection ----------------------------------------------------
 
     def _table(self) -> JobTable:
-        return JobTable.from_records(
-            JournalStore(self.directory).replay())
+        """The job table as of the journal's last whole record.
+
+        Applies only the records appended since the previous call, with
+        the checks a full replay makes. A journal that is another file
+        now (new inode) or shorter than what was read is read again from
+        the start.
+        """
+        path = self.directory / JournalStore.JOURNAL_NAME
+        try:
+            stat = os.stat(path)
+        except FileNotFoundError:
+            self._journal_id = None
+            return JobTable()
+        ident = (stat.st_dev, stat.st_ino)
+        if ident != self._journal_id or stat.st_size < self._journal_end:
+            self._journal_end, self._journal_seq = 0, 0
+            self._jobs = JobTable()
+        if stat.st_size > self._journal_end:
+            # Invalid until the read lands: after an error, the next
+            # call starts over (and raises again if the damage is real).
+            self._journal_id = None
+            records, end = read_journal(path, self._journal_end)
+            check_sequence(path, records, self._journal_seq)
+            for record in records:
+                self._jobs.apply(record)
+            self._journal_end = end
+            self._journal_seq += len(records)
+        self._journal_id = ident
+        return self._jobs
 
     def job_state(self, job_id: str) -> Optional[str]:
         """Current state name, ``"pending"`` (spooled, not yet admitted),

@@ -117,15 +117,22 @@ from repro.service.store import (
 
 logger = logging.getLogger("repro.service.daemon")
 
-__all__ = ["SchedulerDaemon", "DEFAULT_SERVICE_DIR", "DEFAULT_HEARTBEAT_S",
-           "default_heartbeat", "default_service_dir", "default_workers",
-           "reconcile_qos"]
+__all__ = ["SchedulerDaemon", "BEACON_PERIOD_S", "DEFAULT_SERVICE_DIR",
+           "DEFAULT_HEARTBEAT_S", "default_heartbeat", "default_service_dir",
+           "default_workers", "reconcile_qos"]
 
 #: Default service directory, relative to the current working directory.
 DEFAULT_SERVICE_DIR = ".chimera-service"
 
 #: Default worker heartbeat watchdog timeout, seconds.
 DEFAULT_HEARTBEAT_S = 30.0
+
+#: Seconds between two publishes of the status beacon
+#: ``control/daemon.json``; the first tick after :meth:`start` always
+#: publishes. Replacing a file blocks for tens of milliseconds on ext4
+#: while the old inode is freed, and those frees serialize, so a
+#: per-tick beacon would set the tick's length (DESIGN.md §12).
+BEACON_PERIOD_S = 1.0
 
 #: Journal states that mean "the daemon owed this job a dispatch" — a
 #: crash while a job sits in one of them re-queues it on restart, and
@@ -296,6 +303,8 @@ class SchedulerDaemon:
         self._ordinal = 0
         self._draining = False
         self._started = False
+        #: Monotonic time of the last beacon publish (None: due now).
+        self._beacon_t: Optional[float] = None
         #: Acts deferred until the tick's group commit (spool unlinks,
         #: cancel-marker unlinks, worker thread starts).
         self._deferred: List[Callable[[], None]] = []
@@ -371,6 +380,7 @@ class SchedulerDaemon:
         self._commit()
         if self.use_processes and self._pool is None:
             self._start_pool()
+        self._beacon_t = None
         self._started = True
         logger.info("daemon started in %s: %d job(s) replayed, %d queued, "
                     "%d slot(s)", self.directory, len(self.table),
@@ -474,6 +484,9 @@ class SchedulerDaemon:
         self._maybe_preempt()
         self._dispatch()
         self._commit()
+        if (self._beacon_t is None
+                or time.monotonic() - self._beacon_t >= BEACON_PERIOD_S):
+            self._publish_beacon()
 
     def _commit(self) -> None:
         """Group-commit barrier: one fsync over the tick's appends,
@@ -616,11 +629,14 @@ class SchedulerDaemon:
         if (self.control_dir / "drain").exists() and not self._draining:
             logger.info("drain requested via control file")
             self.request_drain()
-        # Liveness beacon for clients (best-effort, never fsync'd).
-        beacon = self.control_dir / "daemon.json"
+
+    def _publish_beacon(self) -> None:
+        """Write the status snapshot clients read (best-effort, never
+        fsync'd); :meth:`tick` calls this once per ``BEACON_PERIOD_S``."""
+        self._beacon_t = time.monotonic()
         oldest = self.queue.oldest_age_s(time.time())
         try:
-            _atomic_write_json(beacon, {
+            _atomic_write_json(self.control_dir / "daemon.json", {
                 "pid": os.getpid(),
                 "t": round(time.time(), 3),
                 "draining": self._draining,

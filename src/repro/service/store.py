@@ -11,7 +11,9 @@ instant therefore leaves the journal in one of exactly three shapes:
   it idempotently;
 * ends with a torn record (crash mid-write) — the torn tail is
   truncated on the next open and the store recovers to the previous
-  record;
+  record. A record exists only once its newline is written: a final
+  line without one is torn even if it happens to decode, because the
+  append that wrote it never returned;
 * unreadable in the *middle* — not a crash artifact but real
   corruption, and replay refuses with
   :class:`~repro.errors.StoreError` rather than guessing.
@@ -50,7 +52,8 @@ from repro.workloads.traffic import ArrivalSpec, TenantSpec
 
 logger = logging.getLogger("repro.service.store")
 
-__all__ = ["JobTable", "JournalStore", "spec_from_dict", "spec_to_dict"]
+__all__ = ["JobTable", "JournalStore", "check_sequence", "read_journal",
+           "spec_from_dict", "spec_to_dict"]
 
 #: Journal format version, stamped into every record.
 JOURNAL_VERSION = 1
@@ -123,6 +126,54 @@ def _decode(line: str) -> Dict[str, Any]:
     if zlib.crc32(_canonical(record).encode()) != obj["c"]:
         raise ValueError("checksum mismatch")
     return record
+
+
+def read_journal(path: os.PathLike, offset: int = 0
+                 ) -> Tuple[List[Dict[str, Any]], int]:
+    """Decode the whole records of the journal at ``path`` from byte
+    ``offset`` on.
+
+    Only newline-terminated lines count: an unterminated final line is
+    an append still in flight, or one torn by a crash, and is left
+    unread. A damaged final line is torn too; damage with more data
+    after it is corruption and raises :class:`StoreError`. Returns the
+    records and the offset just past the last whole line read, which is
+    where the next read starts (and where a torn tail is cut).
+    """
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(offset)
+            data = fh.read()
+    except FileNotFoundError:
+        return [], offset
+    records: List[Dict[str, Any]] = []
+    end = 0
+    while True:
+        newline = data.find(b"\n", end)
+        if newline < 0:
+            break
+        raw = data[end:newline]
+        if raw:
+            try:
+                records.append(_decode(raw.decode("utf-8")))
+            except (ValueError, UnicodeDecodeError) as exc:
+                if data[newline + 1:].strip():
+                    raise StoreError(
+                        f"corrupt journal record mid-file at byte "
+                        f"{offset + end} of {path}: {exc}") from exc
+                break
+        end = newline + 1
+    return records, offset + end
+
+
+def check_sequence(path: os.PathLike, records: List[Dict[str, Any]],
+                   first: int = 0) -> None:
+    """Refuse records whose seqs do not run ``first, first + 1, ...``."""
+    for i, record in enumerate(records, first):
+        if record.get("seq") != i:
+            raise StoreError(
+                f"journal {path} sequence gap: record {i} carries "
+                f"seq {record.get('seq')!r}")
 
 
 class JournalStore:
@@ -202,47 +253,18 @@ class JournalStore:
         return self._replay(repair=False)
 
     def _replay(self, repair: bool) -> List[Dict[str, Any]]:
-        if not self.path.exists():
-            return []
-        records: List[Dict[str, Any]] = []
-        good_end = 0
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        offset = 0
-        lines = data.split(b"\n")
-        for i, raw in enumerate(lines):
-            if not raw:
-                offset += len(raw) + 1
-                continue
-            try:
-                record = _decode(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+        records, end = read_journal(self.path)
+        check_sequence(self.path, records)
+        if repair and self.path.exists():
+            torn = self.path.stat().st_size - end
+            if torn:
                 # Damage at the very end of the file is the signature of
-                # a crash mid-write; anything earlier is real corruption.
-                rest = b"".join(lines[i + 1:]).strip()
-                if rest:
-                    raise StoreError(
-                        f"corrupt journal record mid-file at byte {offset} "
-                        f"of {self.path}: {exc}") from exc
-                logger.warning(
-                    "truncating torn journal tail (%d bytes) in %s: %s",
-                    len(data) - offset, self.path, exc)
-                if repair:
-                    with open(self.path, "r+b") as out:
-                        out.truncate(good_end)
-                break
-            records.append(record)
-            offset += len(raw) + 1
-            good_end = offset
-        self._check_sequence(records)
+                # a crash mid-write; nothing acted on the torn record.
+                logger.warning("truncating torn journal tail (%d bytes) "
+                               "in %s", torn, self.path)
+                with open(self.path, "r+b") as out:
+                    out.truncate(end)
         return records
-
-    def _check_sequence(self, records: List[Dict[str, Any]]) -> None:
-        for i, record in enumerate(records):
-            if record.get("seq") != i:
-                raise StoreError(
-                    f"journal {self.path} sequence gap: record {i} carries "
-                    f"seq {record.get('seq')!r}")
 
     # -- writing -------------------------------------------------------
 

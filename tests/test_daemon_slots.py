@@ -482,7 +482,8 @@ class TestConfigAndStatus:
             _tick_until(daemon,
                         lambda: all(r is not None for r in daemon.slots),
                         "both slots busy")
-            daemon.tick()  # refresh the beacon with the occupancy
+            daemon.tick()
+            daemon._publish_beacon()  # the occupancy, now
             st = client.status()
             assert st["workers"] == 2
             assert [s["slot"] for s in st["slots"]] == [0, 1]
@@ -499,6 +500,7 @@ class TestConfigAndStatus:
                 gate.set()
             daemon.run_until_idle()
             daemon.tick()
+            daemon._publish_beacon()
             st = client.status()
             assert all(s["job_id"] is None for s in st["slots"])
         finally:

@@ -775,10 +775,11 @@ class TestBrownoutDaemon:
             assert daemon.table.jobs["crit-2"].state is JobState.QUEUED
 
             # The beacon mirrors the live level for `chimera status`
-            # (it is written at tick start, so one more tick publishes
-            # the escalation; depth 1/4 sits in the hysteresis band).
+            # (depth 1/4 sits in the hysteresis band). Ticks publish it
+            # once per BEACON_PERIOD_S, so publish it now.
             daemon.tick()
             assert daemon.brownout.level == 2
+            daemon._publish_beacon()
             beacon = json.loads(
                 (tmp_path / "svc" / "control" / "daemon.json").read_text())
             assert beacon["brownout"]["level"] == 2
@@ -1282,8 +1283,9 @@ class TestOverloadCLI:
             # inside the hysteresis band while we inspect the status.
             client.submit([_spec(seed=124)], job_id="low", priority=2)
             daemon.tick()   # admit, escalate, shed the best-effort jobs
-            daemon.tick()   # publish the escalated level in the beacon
+            daemon.tick()
             assert daemon.brownout.level == 1
+            daemon._publish_beacon()   # the escalated level, now
             code = main(["status", "--dir", str(tmp_path / "svc")])
             out = capsys.readouterr().out
             assert code == 0

@@ -52,7 +52,7 @@ from repro.service import (
 from repro.service.admission import default_capacity
 from repro.service.daemon import default_heartbeat, default_service_dir
 from repro.service.state import TRANSITIONS, is_terminal, validate_transition
-from repro.service.store import spec_from_dict, spec_to_dict
+from repro.service.store import read_journal, spec_from_dict, spec_to_dict
 from repro.workloads.multiprogram import MultiprogramWorkload
 
 
@@ -211,6 +211,30 @@ class TestJournalStore:
         reopened.close()
         records = JournalStore(tmp_path / "svc").replay()
         assert [r["seq"] for r in records] == [0, 1]
+
+    def test_unterminated_final_record_is_torn(self, tmp_path):
+        # A record exists once its newline is written: cut only the
+        # final newline and the last record still decodes, but the
+        # append that wrote it never returned, so it is torn.
+        store = self._open(tmp_path)
+        store.append_meta("daemon-start", pid=1)
+        store.append_transition("a", None, JobState.QUEUED,
+                                {"specs": [spec_to_dict(_spec())],
+                                 "priority": 0})
+        store.close()
+        whole = store.path.read_bytes()
+        store.path.write_bytes(whole[:-1])
+        assert len(JournalStore(tmp_path / "svc").replay()) == 1
+        reopened = JournalStore(tmp_path / "svc")
+        assert len(reopened.open()) == 1
+        assert store.path.read_bytes() == whole[:whole.index(b"\n") + 1]
+        # The next append lands on a line of its own, not on the tail.
+        reopened.append_meta("daemon-start", pid=2)
+        reopened.close()
+        records = JournalStore(tmp_path / "svc").replay()
+        assert [r["seq"] for r in records] == [0, 1]
+        assert records[1]["payload"] == {"pid": 2}
+        assert "a" not in JobTable.from_records(records).jobs
 
     def test_midfile_corruption_refuses(self, tmp_path):
         store = self._open(tmp_path)
@@ -526,6 +550,197 @@ class TestDaemonLifecycle:
                             lambda pid: False)
         other.start()
         other.shutdown()
+
+
+class TestBeacon:
+    """``control/daemon.json`` is a status snapshot: the first tick after
+    every start publishes it, later ticks once per BEACON_PERIOD_S."""
+
+    def _beacon(self, daemon):
+        path = daemon.control_dir / "daemon.json"
+        return json.loads(path.read_text()), path.stat().st_ino
+
+    def test_first_tick_publishes_then_once_per_period(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr("repro.service.daemon.BEACON_PERIOD_S", 3600.0)
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor())
+        for _ in range(2):  # every start resets the publish clock
+            daemon.start()
+            try:
+                # start() leaves only the pid lock's record there
+                assert "slots" not in json.loads(
+                    (daemon.control_dir / "daemon.json").read_text())
+                daemon.tick()
+                snapshot, ino = self._beacon(daemon)
+                assert snapshot["pid"] == os.getpid()
+                assert snapshot["workers"] == 1
+                assert [s["slot"] for s in snapshot["slots"]] == [0]
+                for _ in range(2):  # checked per tick: inodes get reused
+                    daemon.tick()
+                    assert self._beacon(daemon)[1] == ino
+                daemon._publish_beacon()
+                assert self._beacon(daemon)[1] != ino
+                # Once the period has passed, the next tick publishes.
+                ino = self._beacon(daemon)[1]
+                daemon._beacon_t -= 3600.0
+                daemon.tick()
+                assert self._beacon(daemon)[1] != ino
+            finally:
+                daemon.shutdown()
+            assert not (daemon.control_dir / "daemon.json").exists()
+
+    def test_drain_between_publishes_is_honored(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr("repro.service.daemon.BEACON_PERIOD_S", 3600.0)
+        gate = threading.Event()
+        daemon = _daemon(tmp_path, monkeypatch,
+                         _fake_executor(block_on=gate))
+        client = ServiceClient(tmp_path / "svc")
+        client.submit([_spec(), _spec(seed=8)], job_id="long")
+        try:
+            _tick_until(daemon, lambda: daemon.running is not None,
+                        "long to dispatch")
+            snapshot, ino = self._beacon(daemon)
+            assert not snapshot["draining"]
+            client.drain()
+            daemon.tick()
+            assert daemon._draining
+            assert daemon.running.preempt.is_set()
+            assert self._beacon(daemon)[1] == ino
+        finally:
+            gate.set()
+            daemon.serve(idle_exit_s=0.0)  # exits once the drain is done
+        assert client.job_state("long") == "preempted"
+
+
+def _assert_tail_matches_replay(client, svc):
+    """The client's incremental table equals a full replay's."""
+    full = JobTable.from_records(JournalStore(svc).replay())
+    tail = client._table()
+    assert list(tail.jobs) == list(full.jobs)
+    assert vars(tail) == vars(full)  # states, checkpoints, details, ...
+
+
+class TestClientJournalTail:
+    """A long-lived ServiceClient reads only the records appended since
+    its last call, and always agrees with a full replay."""
+
+    def test_matches_replay_at_every_step(self, tmp_path, monkeypatch):
+        svc = tmp_path / "svc"
+        offsets = []
+
+        def spy(path, offset=0):
+            offsets.append(offset)
+            return read_journal(path, offset)
+
+        monkeypatch.setattr("repro.service.client.read_journal", spy)
+        client = ServiceClient(svc)
+        _assert_tail_matches_replay(client, svc)
+        client.submit([_spec(), _spec(seed=8)], job_id="a", priority=1)
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor())
+        try:
+            daemon.start()
+            _assert_tail_matches_replay(client, svc)
+            client.submit([_spec(seed=9)], job_id="b")
+            client.submit([_spec(seed=10)], job_id="c", priority=5)
+            deadline = time.monotonic() + 30.0
+            steps = 0
+            while not daemon._idle() or steps < 3:
+                assert time.monotonic() < deadline, "daemon never idled"
+                daemon.tick()
+                _assert_tail_matches_replay(client, svc)
+                if steps == 1:
+                    client.submit([_spec(seed=11)], job_id="d")
+                    assert client.cancel("b")
+                    _assert_tail_matches_replay(client, svc)
+                steps += 1
+                time.sleep(0.001)
+        finally:
+            daemon.shutdown()
+        # A restart journals its start on top.
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor())
+        daemon.start()
+        daemon.shutdown()
+        _assert_tail_matches_replay(client, svc)
+        table = client._table()
+        assert table.restarts == 2
+        assert {j: table.jobs[j].state.value for j in "abcd"} == {
+            "a": "completed", "b": "killed", "c": "completed",
+            "d": "completed"}
+        # Only the first read started at the top of the file.
+        later = offsets[1:]
+        assert offsets[0] == 0 and all(later)
+        assert later == sorted(later)
+
+    def _queued(self, store, job_id):
+        store.append_transition(job_id, None, JobState.QUEUED,
+                                {"specs": [spec_to_dict(_spec())],
+                                 "priority": 0})
+
+    def _journal(self, directory, job_ids):
+        store = JournalStore(directory)
+        store.open()
+        store.append_meta("daemon-start", pid=1)
+        for job_id in job_ids:
+            self._queued(store, job_id)
+        store.close()
+        return store.path
+
+    def test_half_written_record_is_not_consumed(self, tmp_path):
+        svc = tmp_path / "svc"
+        path = self._journal(svc, ["a", "b"])
+        whole = path.read_bytes()
+        last = len(whole) - whole.rindex(b"\n", 0, len(whole) - 1) - 1
+        # An append in flight: half of b's line, then all of it.
+        path.write_bytes(whole[:len(whole) - last // 2])
+        client = ServiceClient(svc)
+        _assert_tail_matches_replay(client, svc)
+        assert set(client._table().jobs) == {"a"}
+        path.write_bytes(whole)
+        _assert_tail_matches_replay(client, svc)
+        assert set(client._table().jobs) == {"a", "b"}
+        # All of c's line but its newline: it decodes, yet it is torn.
+        store = JournalStore(svc)
+        store.open()
+        self._queued(store, "c")
+        store.close()
+        path.write_bytes(path.read_bytes()[:-1])
+        _assert_tail_matches_replay(client, svc)
+        assert set(client._table().jobs) == {"a", "b"}
+        # Reopening cuts it, and the next records land in its place.
+        store = JournalStore(svc)
+        assert len(store.open()) == 3
+        self._queued(store, "d")
+        store.close()
+        assert len(path.read_bytes()) > len(whole)
+        _assert_tail_matches_replay(client, svc)
+        assert set(client._table().jobs) == {"a", "b", "d"}
+
+    def test_recreated_journal_is_read_from_the_start(self, tmp_path):
+        svc = tmp_path / "svc"
+        path = self._journal(svc, ["a"])
+        client = ServiceClient(svc)
+        assert set(client._table().jobs) == {"a"}
+        # A longer journal of other jobs takes its place; only its new
+        # inode says the offset read so far means nothing there.
+        other = self._journal(tmp_path / "other", ["x", "y", "z"])
+        assert other.stat().st_size > path.stat().st_size
+        os.replace(other, path)
+        _assert_tail_matches_replay(client, svc)
+        assert set(client._table().jobs) == {"x", "y", "z"}
+
+    def test_sequence_gap_raises_like_replay(self, tmp_path):
+        svc = tmp_path / "svc"
+        path = self._journal(svc, [])
+        client = ServiceClient(svc)
+        assert client._table().restarts == 1
+        # A second copy of the only record repeats seq 0.
+        path.write_bytes(path.read_bytes() * 2)
+        with pytest.raises(StoreError):
+            JournalStore(svc).replay()
+        for _ in range(2):  # the read from the offset, then from 0
+            with pytest.raises(StoreError):
+                client._table()
 
 
 class TestCrashRecovery:
