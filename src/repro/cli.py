@@ -174,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "CHIMERA_SERVICE_WORKERS or cpu count); >1 "
                             "runs specs in forked worker processes")
     serve.add_argument("--poll", type=_nonnegative_float, default=0.05,
-                       metavar="S", help="tick interval")
+                       metavar="S",
+                       help="longest sleep between ticks when nothing "
+                            "rings the doorbell")
     serve.add_argument("--idle-exit", type=_nonnegative_float, default=None,
                        metavar="S",
                        help="exit once idle this long (smoke tests/CI)")

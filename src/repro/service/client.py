@@ -6,8 +6,11 @@ are atomic drops into ``spool/``, cancellation and drain are marker
 files, and status is a *read-only replay* of the journal — the exact
 code path the daemon itself recovers through, which means "what the
 client sees" and "what a restart would recover" are the same thing by
-construction. A long-lived client reads the journal incrementally: each
-call applies only the records appended since the previous one.
+construction. Each drop is followed by one byte to the daemon's
+doorbell FIFO (``control/wake``), which wakes a sleeping serve loop at
+once; with no daemon alive the ring is a no-op. A long-lived client
+reads the journal incrementally: each call applies only the records
+appended since the previous one.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.harness.sweep import RunSpec
 from repro.metrics.slo import service_report
 from repro.service.daemon import (
     _atomic_write_json,
+    _ring_doorbell,
     default_service_dir,
     reconcile_qos,
 )
@@ -110,6 +114,7 @@ class ServiceClient:
         # at this id; this submission supersedes it.
         (self.spool_dir / f"{job_id}.rejected.json").unlink(missing_ok=True)
         _atomic_write_json(self.spool_dir / f"{job_id}.json", payload)
+        _ring_doorbell(self.control_dir)
         return job_id
 
     def cancel(self, job_id: str) -> bool:
@@ -127,12 +132,14 @@ class ServiceClient:
         self.spool_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write_json(self.spool_dir / f"{job_id}.cancel",
                            {"job_id": job_id, "t": round(time.time(), 3)})
+        _ring_doorbell(self.control_dir)
         return True
 
     def drain(self) -> None:
         """Ask a serving daemon to checkpoint and exit gracefully."""
         self.control_dir.mkdir(parents=True, exist_ok=True)
         (self.control_dir / "drain").write_text("drain\n")
+        _ring_doorbell(self.control_dir)
 
     # -- inspection ----------------------------------------------------
 

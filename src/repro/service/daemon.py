@@ -6,7 +6,9 @@ admission queue, ``N`` concurrent execution slots running jobs'
 RunSpecs through the shared result cache, heartbeat/watchdog
 supervision per slot, and the crash-safe journal
 (:mod:`repro.service.store`) recording every lifecycle transition
-*before* it is acted on.
+*before* it is acted on. Between ticks the serve loop sleeps on a
+doorbell, the FIFO ``control/wake``, which clients ring after each
+spool or control write and slot threads ring when an outcome lands.
 
 Execution model
 ---------------
@@ -79,11 +81,15 @@ of in the pool; a half-open probe restores full concurrency.
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import json
 import logging
 import multiprocessing
 import os
+import select
+import stat
 import tempfile
 import threading
 import time
@@ -199,6 +205,39 @@ def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
         raise
 
 
+#: The doorbell: a named FIFO in ``control/`` that a started daemon
+#: holds open and sleeps on between ticks. A byte written to it wakes
+#: the serve loop at once. It is only a hint: the spool and control
+#: files stay the record (DESIGN.md §12).
+_WAKE_NAME = "wake"
+
+
+def _ring_doorbell(control_dir: Path) -> None:
+    """Ring the doorbell in ``control_dir``: open the FIFO write-only
+    and non-blocking, write one byte, close.
+
+    Three failures are expected and ignored. With no FIFO (ENOENT) no
+    daemon has started yet, and its first tick scans the spool anyway.
+    With no reader (ENXIO) the daemon was killed; the next one reuses
+    the FIFO. With a full pipe (EAGAIN) the daemon is already due to
+    wake. Never creates the FIFO, and never writes to anything at its
+    path that is not one.
+    """
+    try:
+        fd = os.open(control_dir / _WAKE_NAME, os.O_WRONLY | os.O_NONBLOCK)
+    except OSError as exc:
+        if exc.errno in (errno.ENOENT, errno.ENXIO):
+            return
+        raise
+    try:
+        if stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.write(fd, b"\0")
+    except BlockingIOError:
+        pass
+    finally:
+        os.close(fd)
+
+
 def _pool_warmup() -> int:
     """No-op pool task used to force worker processes into existence
     while the daemon is still single-threaded (forking after the slot
@@ -278,6 +317,7 @@ class SchedulerDaemon:
         self.spool_dir = self.directory / "spool"
         self.results_dir = self.directory / "results"
         self.control_dir = self.directory / "control"
+        self.wake_path = self.control_dir / _WAKE_NAME
         #: Group-commit: the daemon batches appends per tick and issues
         #: one fsync in :meth:`_commit` before acting on any of them.
         self.store = JournalStore(self.directory, autosync=False)
@@ -308,9 +348,15 @@ class SchedulerDaemon:
         #: Acts deferred until the tick's group commit (spool unlinks,
         #: cancel-marker unlinks, worker thread starts).
         self._deferred: List[Callable[[], None]] = []
-        #: Set by slot threads when an outcome lands; the serve and
-        #: run-until-idle loops wait on it instead of spinning.
-        self._wake = threading.Event()
+        #: The doorbell FIFO, held open read-write while started, so a
+        #: read never sees EOF and a ring never fails ENXIO. The serve
+        #: and run-until-idle loops sleep on it; slot threads and
+        #: :meth:`request_drain` ring it through :meth:`_ring`.
+        self._bell: Optional[io.FileIO] = None
+        #: Guards ``_bell`` against a ring racing :meth:`shutdown`.
+        #: Re-entrant: the SIGTERM handler rings on the main thread and
+        #: may interrupt it while it holds the lock.
+        self._bell_lock = threading.RLock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         #: Worker process handles, kept past pool shutdown so
@@ -354,6 +400,11 @@ class SchedulerDaemon:
         for sub in (self.spool_dir, self.results_dir, self.control_dir):
             sub.mkdir(parents=True, exist_ok=True)
         self._acquire_lock()
+        try:
+            self._open_doorbell()
+        except ServiceError:
+            self._release_lock()
+            raise
         records = self.store.open()
         self.table = JobTable.from_records(records)
         self.store.inflight_probe = self._inflight
@@ -425,6 +476,53 @@ class SchedulerDaemon:
                 f"another daemon (pid {pid}) already serves {self.directory}")
         _atomic_write_json(lock.with_suffix(".json"), {"pid": os.getpid()})
         lock.write_text(f"{os.getpid()}\n")
+
+    def _open_doorbell(self) -> None:
+        """Create the doorbell FIFO (or reuse one a killed daemon left)
+        and hold it open; refuse anything else at its path."""
+        if self._bell is not None:
+            return
+        try:
+            with contextlib.suppress(FileExistsError):
+                os.mkfifo(self.wake_path)
+            fd = os.open(self.wake_path, os.O_RDWR | os.O_NONBLOCK)
+        except OSError as exc:
+            raise ServiceError(
+                f"cannot open the doorbell {self.wake_path}: {exc}") from exc
+        if not stat.S_ISFIFO(os.fstat(fd).st_mode):
+            os.close(fd)
+            raise ServiceError(
+                f"{self.wake_path} exists and is not a FIFO; remove it")
+        self._bell = os.fdopen(fd, "r+b", buffering=0)
+
+    def _close_doorbell(self) -> None:
+        """Clear the doorbell, then close and remove it. A ring after
+        the clear finds None, never a closed or reused descriptor."""
+        with self._bell_lock:
+            bell, self._bell = self._bell, None
+            if bell is None:
+                return
+            bell.close()
+        self.wake_path.unlink(missing_ok=True)
+
+    def _ring(self) -> None:
+        """Wake the serve loop: one byte into the held doorbell (a full
+        pipe drops it, and the loop is due to wake anyway)."""
+        with self._bell_lock:
+            if self._bell is not None:
+                self._bell.write(b"\0")
+
+    def _await_ring(self, timeout_s: float) -> bool:
+        """Sleep until the doorbell rings or ``timeout_s`` passes; True
+        when it rang. Empties the pipe before returning, so the tick
+        that follows answers every ring made before it."""
+        poller = select.poll()
+        poller.register(self._bell, select.POLLIN)
+        if not poller.poll(timeout_s * 1000.0):
+            return False
+        while self._bell.read(4096):
+            pass
+        return True
 
     def _release_lock(self) -> None:
         for name in ("daemon.pid", "daemon.json"):
@@ -504,7 +602,8 @@ class SchedulerDaemon:
 
     def serve(self, idle_exit_s: Optional[float] = None,
               max_wall_s: Optional[float] = None) -> None:
-        """The ``chimera serve`` loop: tick, wait, repeat.
+        """The ``chimera serve`` loop: tick, sleep on the doorbell for
+        at most ``poll_s``, repeat.
 
         ``idle_exit_s`` exits after the daemon has been idle (no running
         job, empty queue, empty spool) that long — used by smoke tests
@@ -537,12 +636,11 @@ class SchedulerDaemon:
                             return
                     else:
                         idle_since = None
-                # Workers wake the loop early at spec boundaries; the
-                # poll interval only bounds how late control files and
-                # watchdog checks can be noticed.
-                if self.poll_s > 0:
-                    self._wake.wait(self.poll_s)
-                self._wake.clear()
+                # Submits, cancels, drains and slot outcomes ring the
+                # doorbell; poll_s bounds how late the watchdog, queue
+                # TTL, brownout easing and writers that do not ring are
+                # noticed.
+                self._await_ring(self.poll_s)
         finally:
             self.shutdown()
 
@@ -550,10 +648,9 @@ class SchedulerDaemon:
         """Tick until there is nothing left to do (tests, drains)."""
         self.start()
         deadline = time.monotonic() + timeout_s
-        # Event-driven wakeup with adaptive backoff: slot threads set
-        # ``_wake`` at every spec boundary, so the loop sleeps until
-        # there is work instead of spinning at a fixed 100 Hz.
-        backoff = 0.0005
+        # A slot thread rings the doorbell once, when its outcome lands,
+        # so a busy daemon sleeps until then; the cap bounds how late
+        # the watchdog and anything that does not ring are noticed.
         max_wait = max(self.poll_s, 0.02)
         while not self._idle() or (self._draining and self._busy()):
             if time.monotonic() >= deadline:
@@ -561,13 +658,7 @@ class SchedulerDaemon:
                     f"daemon did not go idle within {timeout_s:.3g}s")
             self.tick()
             if self._busy():
-                if self._wake.wait(backoff):
-                    self._wake.clear()
-                    backoff = 0.0005
-                else:
-                    backoff = min(backoff * 2, max_wait)
-            else:
-                backoff = 0.0005
+                self._await_ring(max_wait)
         # One final pass so trailing control files are honored.
         self.tick()
 
@@ -585,6 +676,7 @@ class SchedulerDaemon:
             if run is not None and not run.preempt.is_set():
                 run.preempted_by = None
                 run.preempt.set()
+        self._ring()
 
     def shutdown(self) -> None:
         """Close the store and drop the pid lock (not a drain)."""
@@ -594,6 +686,10 @@ class SchedulerDaemon:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
+        # The FIFO goes before the lock: a daemon restarting here only
+        # creates its own once it holds the lock, so this one can never
+        # remove it.
+        self._close_doorbell()
         self._release_lock()
         try:
             (self.control_dir / "drain").unlink()
@@ -1127,7 +1223,7 @@ class SchedulerDaemon:
         except Exception as exc:  # noqa: BLE001 - reported, not raised
             run.outcome = ("failed", f"{type(exc).__name__}: {exc}")
         finally:
-            self._wake.set()
+            self._ring()
 
     def _execute_spec(self, job: Job, index: int) -> Dict[str, Any]:
         """Run one spec (through the shared result cache) and summarize.

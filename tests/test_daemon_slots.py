@@ -321,6 +321,7 @@ class TestGroupCommit:
         assert client.status()["counts"] == {"completed": 3}
 
     def test_workers_signal_the_wake_event(self, tmp_path, monkeypatch):
+        """A worker's outcome rings the doorbell the loop sleeps on."""
         gates = {901: threading.Event()}
         daemon = _daemon(tmp_path, monkeypatch, _gated_executor(gates),
                          workers=1)
@@ -329,10 +330,11 @@ class TestGroupCommit:
         try:
             _tick_until(daemon, lambda: daemon.running is not None,
                         "job dispatched")
-            daemon._wake.clear()
+            daemon._await_ring(0.0)  # empty the pipe
+            assert not daemon._await_ring(0.05), "rang before the outcome"
             gates[901].set()
-            assert daemon._wake.wait(5.0), \
-                "worker outcome did not set the wake event"
+            assert daemon._await_ring(5.0), \
+                "worker outcome did not ring the doorbell"
             daemon.run_until_idle()
         finally:
             daemon.shutdown()

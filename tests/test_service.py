@@ -613,6 +613,185 @@ class TestBeacon:
         assert client.job_state("long") == "preempted"
 
 
+class TestWake:
+    """``control/wake`` is the daemon's doorbell: submit, cancel, drain
+    and slot outcomes ring it, so a serve loop asleep for ``poll_s``
+    (30 s here) answers at once. Every join and wait is bounded."""
+
+    def _serving(self, daemon):
+        """Run ``daemon.serve()`` in a thread; return it once the first
+        tick is done and the loop is asleep on the doorbell."""
+        server = threading.Thread(target=daemon.serve,
+                                  kwargs={"max_wall_s": 60.0}, daemon=True)
+        server.start()
+        deadline = time.monotonic() + 10.0
+        while daemon._beacon_t is None:
+            assert time.monotonic() < deadline, "serve loop never ticked"
+            time.sleep(0.005)
+        return server
+
+    def _stop(self, daemon, server):
+        daemon.request_drain()
+        server.join(10.0)
+        assert not server.is_alive(), "serve loop slept through the drain"
+        assert not daemon.wake_path.exists()
+
+    def test_submit_wakes_a_sleeping_serve_loop(self, tmp_path,
+                                                monkeypatch):
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor(),
+                         poll_s=30.0)
+        client = ServiceClient(tmp_path / "svc")
+        server = self._serving(daemon)
+        try:
+            client.submit([_spec()], job_id="late")
+            assert client.wait("late", timeout_s=5.0,
+                               poll_s=0.01) == "completed"
+        finally:
+            self._stop(daemon, server)
+
+    @pytest.mark.parametrize("via", ["request_drain", "client"])
+    def test_drain_wakes_an_idle_serve_loop(self, tmp_path, monkeypatch,
+                                            via):
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor(),
+                         poll_s=30.0)
+        server = self._serving(daemon)
+        if via == "client":
+            ServiceClient(tmp_path / "svc").drain()
+        else:
+            daemon.request_drain()
+        server.join(2.0)
+        assert not server.is_alive(), "idle serve loop slept through drain"
+        assert not daemon.wake_path.exists()
+
+    def test_cancel_of_a_queued_job_lands_without_the_poll(self, tmp_path,
+                                                           monkeypatch):
+        gate = threading.Event()
+        daemon = _daemon(tmp_path, monkeypatch,
+                         _fake_executor(block_on=gate), poll_s=30.0)
+        client = ServiceClient(tmp_path / "svc")
+        client.submit([_spec()], job_id="running", priority=5)
+        client.submit([_spec(seed=8)], job_id="waiting")
+        server = self._serving(daemon)
+        try:
+            assert client.job_state("waiting") == "queued"
+            assert client.cancel("waiting") is True
+            assert client.wait("waiting", timeout_s=5.0,
+                               poll_s=0.01) == "killed"
+        finally:
+            gate.set()
+            self._stop(daemon, server)
+
+    @pytest.mark.parametrize("bell", ["absent", "no-reader", "full"])
+    def test_clients_ignore_a_doorbell_nobody_answers(self, tmp_path,
+                                                      monkeypatch, bell):
+        svc = tmp_path / "svc"
+        wake = svc / "control" / "wake"
+        # A job the journal already knows, so cancel writes a marker
+        # (and rings) instead of retracting a spool file.
+        store = JournalStore(svc)
+        store.open()
+        store.append_transition("old", None, JobState.QUEUED, {
+            "specs": [spec_to_dict(_spec(seed=3))], "priority": 0})
+        store.close()
+        held = None
+        if bell != "absent":
+            # What a kill -9 leaves behind: the FIFO, with no reader.
+            wake.parent.mkdir(parents=True)
+            os.mkfifo(wake)
+        if bell == "full":
+            held = os.open(wake, os.O_RDWR | os.O_NONBLOCK)
+            for chunk in (b"\0" * 4096, b"\0"):
+                with pytest.raises(BlockingIOError):
+                    while True:
+                        os.write(held, chunk)
+        try:
+            client = ServiceClient(svc)
+            started = time.monotonic()
+            client.submit([_spec()], job_id="new")
+            assert client.cancel("old") is True
+            client.drain()
+            assert time.monotonic() - started < 2.0
+            assert wake.exists() == (bell != "absent")
+            # A daemon started afterwards admits the job on its first
+            # tick (without the drain marker, which would refuse it).
+            (svc / "control" / "drain").unlink()
+            daemon = _daemon(tmp_path, monkeypatch, _fake_executor())
+            try:
+                daemon.tick()
+                assert daemon.table.jobs["new"].state is JobState.RUNNING
+                assert daemon.table.jobs["old"].state is JobState.KILLED
+            finally:
+                daemon.shutdown()
+        finally:
+            if held is not None:
+                os.close(held)
+
+    def test_rings_racing_shutdown_never_fail(self, tmp_path, monkeypatch):
+        """Slot threads ring while shutdown() closes the doorbell: each
+        ring lands on the open FIFO or finds it gone."""
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor())
+        errors, stop = [], threading.Event()
+
+        def ring():
+            try:
+                while not stop.is_set():
+                    daemon._ring()
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        ringers = [threading.Thread(target=ring, daemon=True)
+                   for _ in range(2 * (os.cpu_count() or 1) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for ringer in ringers:
+                ringer.start()
+            for _ in range(20):
+                daemon.start()
+                time.sleep(0.005)
+                daemon.shutdown()
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for ringer in ringers:
+                ringer.join(5.0)
+        assert not any(ringer.is_alive() for ringer in ringers)
+        assert errors == []
+
+    def test_ring_inside_the_lock_does_not_deadlock(self, tmp_path,
+                                                    monkeypatch):
+        """The SIGTERM handler runs on the main thread and can interrupt
+        it while it holds the doorbell lock; its ring must go through."""
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor())
+        daemon.start()
+
+        def interrupted():
+            with daemon._bell_lock:
+                daemon.request_drain()
+
+        thread = threading.Thread(target=interrupted, daemon=True)
+        thread.start()
+        thread.join(5.0)
+        # (A deadlocked thread keeps the lock, so shutdown() would hang.)
+        assert not thread.is_alive(), "ring deadlocked on its own lock"
+        try:
+            assert daemon._await_ring(0.0)
+        finally:
+            daemon.shutdown()
+
+    def test_start_refuses_a_non_fifo_doorbell(self, tmp_path,
+                                               monkeypatch):
+        daemon = _daemon(tmp_path, monkeypatch, _fake_executor())
+        daemon.control_dir.mkdir(parents=True)
+        daemon.wake_path.write_text("not a fifo\n")
+        with pytest.raises(ServiceError, match="not a FIFO"):
+            daemon.start()
+        assert not (daemon.control_dir / "daemon.pid").exists()
+        # A client never writes into it either.
+        ServiceClient(tmp_path / "svc").submit([_spec()], job_id="j")
+        assert daemon.wake_path.read_text() == "not a fifo\n"
+
+
 def _assert_tail_matches_replay(client, svc):
     """The client's incremental table equals a full replay's."""
     full = JobTable.from_records(JournalStore(svc).replay())
