@@ -7,7 +7,8 @@ One scenario pins the open-arrival serving path PR-over-PR:
   under two policies. Records simulated arrivals per wall second (the
   harness's serving capacity), overall SLO attainment, goodput, and the
   p99 preemption latency, into machine-readable
-  ``benchmarks/results/BENCH_traffic.json`` like ``BENCH_cycle.json``.
+  ``benchmarks/results/BENCH_traffic.json`` (with the machine's
+  ``cpu_count`` in ``_meta``) like ``BENCH_cycle.json``.
 
 Determinism is asserted before any number is recorded: the same
 scenario must yield the same SLO report on a second run.
@@ -62,7 +63,7 @@ def _record(name: str, entry: dict) -> None:
     RESULTS_DIR.mkdir(exist_ok=True)
     results = _read_results()
     results[name] = entry
-    results["_meta"] = {"quick": QUICK}
+    results["_meta"] = {"quick": QUICK, "cpu_count": os.cpu_count()}
     BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 

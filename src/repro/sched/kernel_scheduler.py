@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.chimera import PreemptionPolicy
+from repro.core.techniques import Technique
 from repro.errors import SchedulingError
 from repro.gpu.config import GPUConfig
 from repro.gpu.gpu import GPU
@@ -36,6 +37,9 @@ from repro.sched.tb_scheduler import ThreadBlockScheduler
 from repro.sim.engine import Engine
 from repro.sim import trace as trace_mod
 from repro.sim.trace import Tracer
+
+
+_DRAIN = Technique.DRAIN.value
 
 
 class SchedulerMode(enum.Enum):
@@ -56,6 +60,14 @@ class ActiveKernel:
     fully_dispatched_fired: bool = field(default=False)
     #: Share weight for priority-proportional partitioning (1.0 = even).
     weight: float = 1.0
+    #: Position in the scheduler's launch order, which is the order of
+    #: its active-kernel map and so of every partition's keys.
+    seq: int = field(default=0, compare=False)
+    #: Blocks the kernel can keep resident on one SM.
+    tbs_per_sm: int = field(default=1, compare=False)
+    #: The demand last handed to the partition, rebuilt only when the
+    #: kernel's SM need changes (see KernelScheduler._targets).
+    demand: Optional[KernelDemand] = field(default=None, compare=False)
 
 
 class KernelScheduler:
@@ -83,6 +95,7 @@ class KernelScheduler:
         self._fcfs_running: Optional[ActiveKernel] = None
         self._in_repartition = False
         self._repartition_again = False
+        self._launches = 0
         #: All completed SM preemptions, in hand-over order.
         self.records: List[PreemptionRecord] = []
         #: Optional structured event trace.
@@ -154,8 +167,12 @@ class KernelScheduler:
         if kernel.kernel_id in self._active:
             raise SchedulingError(f"kernel {kernel.name} already active")
         kernel.launch_time = self.engine.now
-        entry = ActiveKernel(kernel, process, fixed_demand, on_finished,
-                             on_fully_dispatched, weight=weight)
+        entry = ActiveKernel(
+            kernel, process, fixed_demand, on_finished, on_fully_dispatched,
+            weight=weight, seq=self._launches,
+            tbs_per_sm=min(kernel.spec.tbs_per_sm,
+                           self.config.max_tbs_per_sm))
+        self._launches += 1
         self._active[kernel.kernel_id] = entry
         if self.tracer is not None:
             self._trace(trace_mod.LAUNCH, kernel.name, kernel=kernel.name,
@@ -249,11 +266,17 @@ class KernelScheduler:
                         **extra)
         if self.guard is not None:
             self.guard.resolve(sm, record)
-        # A drained SM may have retired its kernel's last block while
-        # preempting, in which case no completion reached the listener.
-        for entry in list(self._active.values()):
-            if entry.kernel.finished:
-                self.on_kernel_finished(entry.kernel)
+        # A kernel stays active after its last block retired only when
+        # that block drained on a preempting SM: no completion reached
+        # the listener. Nothing of that kernel is left to drain or save,
+        # so the retirement hands its SM over at once, through this
+        # call, with the drain as the record's last block event. Other
+        # hand-overs cannot leave a finished kernel behind.
+        events = record.tb_events
+        if events and events[-1][1] == _DRAIN:
+            for entry in list(self._active.values()):
+                if entry.kernel.finished:
+                    self.on_kernel_finished(entry.kernel)
         self._assign_idle_sm(sm)
 
     def note_fully_dispatched(self, kernel: Kernel) -> None:
@@ -269,27 +292,49 @@ class KernelScheduler:
     # spatial mode: partition targets and convergence
     # ------------------------------------------------------------------
 
-    def _needed_sms(self, kernel: Kernel) -> int:
-        unfinished = kernel.grid_tbs - kernel.stats.tbs_completed
-        tbs_per_sm = min(kernel.spec.tbs_per_sm, self.config.max_tbs_per_sm)
-        return -(-unfinished // tbs_per_sm)  # ceil division
+    @staticmethod
+    def _needed_sms(entry: ActiveKernel) -> int:
+        unfinished = entry.kernel.grid_tbs - entry.kernel.stats.tbs_completed
+        return -(-unfinished // entry.tbs_per_sm)  # ceil division
 
     def _targets(self) -> Dict[int, int]:
-        demands = [
-            KernelDemand(kid, self._needed_sms(entry.kernel),
-                         entry.fixed_demand, weight=entry.weight)
-            for kid, entry in self._active.items()
-        ]
+        """Partition targets over every active kernel, in launch order.
+
+        Runs on every scheduling event with every active kernel, so each
+        kernel's demand is cached and rebuilt only when its SM need
+        (:meth:`_needed_sms`, inlined) changed. The need only shrinks, as
+        completed blocks only grow, and a queued kernel's never moves.
+        """
+        demands: List[KernelDemand] = []
+        for kid, entry in self._active.items():
+            kernel = entry.kernel
+            needed = -(-(kernel.grid_tbs - kernel.stats.tbs_completed)
+                       // entry.tbs_per_sm)
+            demand = entry.demand
+            if demand is None or demand.needed_sms != needed:
+                demand = entry.demand = KernelDemand(
+                    kid, needed, entry.fixed_demand, weight=entry.weight)
+            demands.append(demand)
         return compute_partition(demands, self.config.num_sms)
 
+    @staticmethod
+    def _nonzero(targets: Dict[int, int]) -> Dict[int, int]:
+        """The kernels a partition grants SMs, in its (launch) order:
+        at most one per SM, however many kernels are queued."""
+        return {kid: target for kid, target in targets.items() if target}
+
     def _effective_counts(self) -> Dict[int, int]:
-        counts = {kid: 0 for kid in self._active}
+        """SMs each active kernel holds outside a preemption; kernels
+        holding none are left out."""
+        active = self._active
+        counts: Dict[int, int] = {}
         for sm in self.gpu.sms:
-            if sm.kernel is None or sm.is_preempting:
+            kernel = sm.kernel
+            if kernel is None or sm.is_preempting:
                 continue
-            kid = sm.kernel.kernel_id
-            if kid in counts:
-                counts[kid] += 1
+            kid = kernel.kernel_id
+            if kid in active:
+                counts[kid] = counts.get(kid, 0) + 1
         return counts
 
     def _num_preempting(self) -> int:
@@ -310,20 +355,28 @@ class KernelScheduler:
             self._in_repartition = False
 
     def _converge(self) -> None:
-        targets = self._targets()
+        # Kernels that neither get a target nor hold an SM take no part
+        # in either step, so both visit only the few that do.
+        targets = self._nonzero(self._targets())
         # Step 1: hand idle SMs to kernels below target.
         for sm in self.gpu.idle_sms():
             self._place(sm, targets)
         # Step 2: preempt kernels above target, but never more SMs than
         # the outstanding deficit that in-flight hand-overs won't cover.
         counts = self._effective_counts()
-        deficit = sum(max(0, targets[k] - counts[k]) for k in targets)
+        deficit = sum(max(0, target - counts.get(kid, 0))
+                      for kid, target in targets.items())
         want = deficit - self._num_preempting()
         if want <= 0 or self.policy is None:
             return
+        # Largest surplus first; launch order breaks ties, as the
+        # partition's key order does.
+        active = self._active
         surplus_kernels = sorted(
-            (kid for kid in targets if counts[kid] - targets[kid] > 0),
-            key=lambda kid: counts[kid] - targets[kid], reverse=True)
+            (kid for kid, count in counts.items()
+             if count > targets.get(kid, 0)),
+            key=lambda kid: (targets.get(kid, 0) - counts[kid],
+                             active[kid].seq))
         for kid in surplus_kernels:
             if want <= 0:
                 break
@@ -332,7 +385,8 @@ class KernelScheduler:
                 continue
             candidates = [sm for sm in self.gpu.sms_of(entry.kernel)
                           if not sm.is_preempting]
-            count = min(want, counts[kid] - targets[kid], len(candidates))
+            count = min(want, counts[kid] - targets.get(kid, 0),
+                        len(candidates))
             if count <= 0:
                 continue
             plans = self.policy.plan(candidates, count, self.latency_limit_cycles)
@@ -367,13 +421,18 @@ class KernelScheduler:
                 want -= 1
 
     def _place(self, sm: StreamingMultiprocessor, targets: Dict[int, int]) -> None:
-        """Try to assign one idle SM to the neediest kernel."""
+        """Try to assign one idle SM to the neediest kernel.
+
+        ``targets`` holds the nonzero partition targets in launch order
+        (:meth:`_nonzero`); a kernel with none cannot be below it.
+        """
         counts = self._effective_counts()
         candidates = sorted(
-            (kid for kid in targets if targets[kid] > counts[kid]),
+            (kid for kid, target in targets.items()
+             if target > counts.get(kid, 0)),
             key=lambda kid: (
                 self._active[kid].fixed_demand is None,  # real-time first
-                counts[kid] - targets[kid],
+                counts.get(kid, 0) - targets[kid],
             ))
         for kid in candidates:
             entry = self._active.get(kid)
@@ -392,7 +451,7 @@ class KernelScheduler:
         if self.mode is SchedulerMode.FCFS:
             self._fcfs_fill_running(sm)
             return
-        self._place(sm, self._targets())
+        self._place(sm, self._nonzero(self._targets()))
 
     # ------------------------------------------------------------------
     # FCFS baseline
@@ -404,7 +463,7 @@ class KernelScheduler:
         entry = self._fcfs_queue.pop(0)
         self._fcfs_running = entry
         kernel = entry.kernel
-        grant = min(self._needed_sms(kernel), self.config.num_sms)
+        grant = min(self._needed_sms(entry), self.config.num_sms)
         for sm in self.gpu.idle_sms()[:grant]:
             sm.assign(kernel)
             self.tb_scheduler.fill(sm)

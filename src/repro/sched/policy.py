@@ -14,6 +14,7 @@ Chimera (or a baseline) decides which SMs move and how.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.errors import SchedulingError
@@ -42,6 +43,9 @@ class KernelDemand:
             raise SchedulingError("weight must be positive")
 
 
+_weight = attrgetter("weight")
+
+
 def compute_partition(demands: List[KernelDemand], num_sms: int) -> Dict[int, int]:
     """Target SM count per kernel key.
 
@@ -50,6 +54,13 @@ def compute_partition(demands: List[KernelDemand], num_sms: int) -> Dict[int, in
     evenly across the flexible kernels, capped by each kernel's need;
     leftover SMs go round-robin to kernels that can still use more.
     SMs nobody can use stay idle.
+
+    The scheduler calls this on every launch, finish, idle SM and
+    hand-over with every active kernel, hundreds of them past
+    saturation, so the per-kernel work is plain loops and C-level sort
+    keys. Every float operation and every tie-break is the
+    straightforward water-fill's (``tests/test_partition.py`` keeps it
+    as the reference).
     """
     if num_sms < 0:
         raise SchedulingError("num_sms must be non-negative")
@@ -58,37 +69,42 @@ def compute_partition(demands: List[KernelDemand], num_sms: int) -> Dict[int, in
         raise SchedulingError("duplicate kernel keys in demands")
     remaining = num_sms
 
+    flexible: List[KernelDemand] = []
     for demand in demands:
         if demand.fixed_demand is None:
+            flexible.append(demand)
             continue
         grant = min(demand.fixed_demand, demand.needed_sms, remaining)
         targets[demand.key] = grant
         remaining -= grant
 
-    flexible = [d for d in demands if d.fixed_demand is None]
     # Ascending-normalized-need water-fill: size-bound kernels take
     # less than their weighted share, and what they leave re-enters the
-    # pool for the rest.
-    pending = sorted(flexible, key=lambda d: d.needed_sms / d.weight)
-    weight_left = sum(d.weight for d in pending)
+    # pool for the rest. Sorting positions by a precomputed key list is
+    # the same stable sort as sorting the demands by that key.
+    needs = [d.needed_sms / d.weight for d in flexible]
+    pending = [flexible[i]
+               for i in sorted(range(len(needs)), key=needs.__getitem__)]
+    weight_left = sum([d.weight for d in pending])
     for demand in pending:
-        share = int(remaining * demand.weight / weight_left)
-        grant = min(demand.needed_sms, share)
-        targets[demand.key] = grant
-        remaining -= grant
-        weight_left -= demand.weight
+        weight = demand.weight
+        share = int(remaining * weight / weight_left)
+        if share:
+            # A zero share grants nothing: the kernel's target stays 0.
+            grant = min(demand.needed_sms, share)
+            targets[demand.key] = grant
+            remaining -= grant
+        weight_left -= weight
 
-    # Round-robin the remainder (heaviest first) to kernels that can
-    # still use SMs.
-    while remaining > 0:
-        hungry = sorted((d for d in flexible
-                         if targets[d.key] < d.needed_sms),
-                        key=lambda d: -d.weight)
-        if not hungry:
-            break
-        for demand in hungry:
-            if remaining == 0:
+    # Round-robin the remainder (heaviest first, list order among equal
+    # weights) to kernels that can still use SMs.
+    if remaining > 0:
+        by_weight = sorted(flexible, key=_weight, reverse=True)
+        while remaining > 0:
+            hungry = [d for d in by_weight if targets[d.key] < d.needed_sms]
+            if not hungry:
                 break
-            targets[demand.key] += 1
-            remaining -= 1
+            for demand in hungry[:remaining]:
+                targets[demand.key] += 1
+            remaining -= min(remaining, len(hungry))
     return targets

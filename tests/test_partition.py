@@ -170,3 +170,111 @@ class TestWeightedPartition:
         if sum(targets.values()) < num_sms:
             for demand in demands:
                 assert targets[demand.key] == demand.needed_sms
+
+
+# ----------------------------------------------------------------------
+# reference equality with many kernels
+# ----------------------------------------------------------------------
+
+
+def reference_partition(demands, num_sms):
+    """The straightforward water-fill, kept as the oracle for
+    :func:`compute_partition`: per-element lambdas, a full re-sort of
+    the hungry kernels every round-robin pass, and a write for every
+    kernel whether or not it gets an SM."""
+    if num_sms < 0:
+        raise SchedulingError("num_sms must be non-negative")
+    targets = {d.key: 0 for d in demands}
+    if len(targets) != len(demands):
+        raise SchedulingError("duplicate kernel keys in demands")
+    remaining = num_sms
+
+    for demand in demands:
+        if demand.fixed_demand is None:
+            continue
+        grant = min(demand.fixed_demand, demand.needed_sms, remaining)
+        targets[demand.key] = grant
+        remaining -= grant
+
+    flexible = [d for d in demands if d.fixed_demand is None]
+    pending = sorted(flexible, key=lambda d: d.needed_sms / d.weight)
+    weight_left = sum(d.weight for d in pending)
+    for demand in pending:
+        share = int(remaining * demand.weight / weight_left)
+        grant = min(demand.needed_sms, share)
+        targets[demand.key] = grant
+        remaining -= grant
+        weight_left -= demand.weight
+
+    while remaining > 0:
+        hungry = sorted((d for d in flexible
+                         if targets[d.key] < d.needed_sms),
+                        key=lambda d: -d.weight)
+        if not hungry:
+            break
+        for demand in hungry:
+            if remaining == 0:
+                break
+            targets[demand.key] += 1
+            remaining -= 1
+    return targets
+
+
+def _outcome(fn, demands, num_sms):
+    """``fn``'s result as (key order, values), or its error."""
+    try:
+        targets = fn(demands, num_sms)
+    except SchedulingError as exc:
+        return ("error", str(exc))
+    return ("ok", list(targets.items()))
+
+
+#: Weights as the scheduler sees them (1 + tenant priority) plus
+#: non-integers whose float sums do not round-trip exactly.
+TIED_WEIGHTS = st.sampled_from((1.0, 2.0, 3.0, 0.3, 1.7, 0.1, 2.5))
+WEIGHTS = st.one_of(TIED_WEIGHTS, st.floats(0.05, 20.0))
+
+
+def _check_against_reference(rows, num_sms, repeat=None):
+    demands = [KernelDemand(key, need, fixed, weight=weight)
+               for key, (need, fixed, weight) in enumerate(rows)]
+    if repeat is not None and demands:
+        demands.append(demands[repeat % len(demands)])
+    assert (_outcome(compute_partition, demands, num_sms)
+            == _outcome(reference_partition, demands, num_sms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 64),
+                               st.one_of(st.none(), st.integers(0, 64)),
+                               WEIGHTS),
+                     max_size=300),
+       num_sms=st.integers(-2, 64),
+       repeat=st.one_of(st.none(), st.integers(0, 299)))
+def test_matches_reference(rows, num_sms, repeat):
+    """Same dict, same key order and same errors (a repeated key, a
+    negative machine) as the reference, up to 300 kernels."""
+    _check_against_reference(rows, num_sms, repeat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 12),
+                               st.one_of(st.none(), st.integers(0, 6)),
+                               TIED_WEIGHTS),
+                     max_size=8),
+       num_sms=st.integers(0, 24))
+def test_matches_reference_on_ties(rows, num_sms):
+    """Few kernels with tied needs and weights: the regime where SMs
+    are left over for the round-robin, so its heaviest-first order and
+    both sorts' tie-breaks decide the result."""
+    _check_against_reference(rows, num_sms)
+
+
+@pytest.mark.parametrize("bad", [dict(fixed_demand=-1), dict(weight=-0.3)])
+def test_demand_validation(bad):
+    """The cases ``test_negative_need_rejected`` and
+    ``test_invalid_weight_rejected`` leave out."""
+    fields = dict(key=1, needed_sms=4, fixed_demand=None, weight=1.0)
+    fields.update(bad)
+    with pytest.raises(SchedulingError):
+        KernelDemand(**fields)
