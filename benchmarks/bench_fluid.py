@@ -1,9 +1,9 @@
 """Sweep-harness throughput benchmark.
 
 ``sweep_throughput`` drives a 10k-spec sweep through the sharded result
-cache with chunked submission, spec execution stubbed to a constant so
-the number measures the *harness* (hashing, dedupe, chunking, atomic
-cache writes, shard reads) rather than the simulator. A cold pass
+cache, spec execution stubbed to a constant so the number measures the
+*harness* (hashing, dedupe, atomic cache writes, shard reads) rather
+than the simulator. A cold pass
 executes everything; a warm pass must replay entirely from the sharded
 cache. The simulator's end-to-end speed is recorded by the repository
 benchmark's ``fig67_sweep`` workload (``perfbench/run.py``).
@@ -21,7 +21,6 @@ Scale knob:
 from __future__ import annotations
 
 import json
-import math
 import os
 
 from benchmarks.conftest import RESULTS_DIR, once
@@ -52,7 +51,6 @@ def _record(name: str, entry: dict) -> None:
 
 def test_sweep_throughput(benchmark, tmp_path, monkeypatch):
     n = 1_000 if QUICK else 10_000
-    chunk_size = 512
     labels = benchmark_labels()
     policies = ("switch", "drain", "flush", "chimera")
     specs = []
@@ -77,23 +75,19 @@ def test_sweep_throughput(benchmark, tmp_path, monkeypatch):
     cache_dir = tmp_path / "fluid-sweep-cache"
 
     def drive() -> dict:
-        cold = SweepRunner(jobs=1, cache=ResultCache(cache_dir),
-                           chunk_size=chunk_size)
+        cold = SweepRunner(jobs=1, cache=ResultCache(cache_dir))
         import time
         start = time.perf_counter()
         cold.run(specs)
         cold_wall = time.perf_counter() - start
         assert cold.last_stats.executed == n
-        assert cold.last_stats.chunks == math.ceil(n / chunk_size)
-        warm = SweepRunner(jobs=1, cache=ResultCache(cache_dir),
-                           chunk_size=chunk_size)
+        warm = SweepRunner(jobs=1, cache=ResultCache(cache_dir))
         start = time.perf_counter()
         warm.run(specs)
         warm_wall = time.perf_counter() - start
         assert warm.last_stats.cache_hits == n
         assert warm.last_stats.executed == 0
-        return {"cold_wall_s": cold_wall, "warm_wall_s": warm_wall,
-                "chunks": cold.last_stats.chunks}
+        return {"cold_wall_s": cold_wall, "warm_wall_s": warm_wall}
 
     run = once(benchmark, drive)
     # Every entry must have landed in a two-hex shard subdirectory.
@@ -103,8 +97,6 @@ def test_sweep_throughput(benchmark, tmp_path, monkeypatch):
     assert all(p.parent.name == p.stem[:2] for p in sharded)
     _record("sweep_throughput", {
         "specs": n,
-        "chunk_size": chunk_size,
-        "chunks": run["chunks"],
         "cold_wall_s": round(run["cold_wall_s"], 4),
         "warm_wall_s": round(run["warm_wall_s"], 4),
         "cold_specs_per_s": round(n / max(run["cold_wall_s"], 1e-9)),

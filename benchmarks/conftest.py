@@ -27,7 +27,7 @@ Scale knobs (environment variables):
   session runner inherits them, so a crashed or hung worker costs one
   spec's retries, not the whole figure, and every completed sibling is
   already persisted in the cache. The ``retries`` / ``timeouts`` /
-  ``failed`` / ``pool_rebuilds`` / ``degraded`` counters land in
+  ``failed`` / ``worker_deaths`` / ``degraded`` counters land in
   ``results/timings.json`` next to the wall-clock numbers.
 """
 

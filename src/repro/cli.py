@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: CHIMERA_SERVICE_CAPACITY or 64)")
     serve.add_argument("--heartbeat", type=_nonnegative_float, default=None,
                        metavar="S",
-                       help="worker heartbeat watchdog timeout "
+                       help="worker heartbeat watchdog timeout, also "
+                            "each spec's deadline on a worker process "
                             "(default: CHIMERA_HEARTBEAT or 30)")
     serve.add_argument("--workers", type=_positive_int, default=None,
                        metavar="N",

@@ -24,9 +24,9 @@ fault fires on (default ``1`` — fire on attempt 0 only, i.e.
 flaky-then-succeed; ``inf`` fires forever). Kinds:
 
 * ``fail``    — raise :class:`FaultInjected` (a plain failing spec)
-* ``crash``   — ``os._exit(13)`` *in worker processes only*, breaking
-  the process pool; a no-op in the main process, so degraded serial
-  execution recovers
+* ``crash``   — ``os._exit(13)`` *in worker processes only*, killing
+  the spec's worker; a no-op in the main process, so a spec the circuit
+  breaker sends inline recovers
 * ``hang``    — sleep ``CHIMERA_FAULT_HANG_S`` seconds (default 3600),
   tripping the per-spec timeout
 * ``corrupt`` — overwrite the ``index``-th cache ``put()`` of this
@@ -79,14 +79,14 @@ paths (:mod:`repro.service.overload`) deterministically:
   pressure builds honestly and brownout/deadline admission paths fire
   under test without wall-clock-scale workloads. A float-factor kind
   like ``stall-drain``.
-* ``pool-break@k``            — the ``k``-th spec submitted to the
-  worker pool (0-based, counted process-locally like ``corrupt``)
-  raises :class:`InjectedPoolBreak` instead of executing, modeling a
-  broken process pool; the daemon's circuit breaker must count it,
-  open after K of them, and degrade to inline execution. ``k`` of
-  ``*`` breaks every pool submission while the fault is active;
-  ``pool-break@0,pool-break@1,pool-break@2`` breaks exactly the first
-  three.
+* ``pool-break@k``            — the ``k``-th task the executor hands
+  to a worker process (0-based, counted process-locally like
+  ``corrupt``) raises :class:`InjectedPoolBreak` instead of executing,
+  modeling a lost worker, for the sweep and the daemon alike; the
+  circuit breaker must count it, open after K of them, and degrade to
+  inline execution. ``k`` of ``*`` breaks every worker submission
+  while the fault is active; ``pool-break@0,pool-break@1,pool-break@2``
+  breaks exactly the first three.
 
 Daemon crash kinds raise :class:`InjectedCrash` (a ``BaseException``, so
 no library handler can swallow it); ``chimera serve`` converts it to a
@@ -111,6 +111,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
+from repro.env import env_float
 from repro.errors import ConfigError, ReproError
 
 #: Garbage written over a cache entry by the ``corrupt`` fault.
@@ -164,10 +165,10 @@ class InjectedCrash(BaseException):
 
 
 class InjectedPoolBreak(ReproError):
-    """The ``pool-break`` fault fired on a worker-pool submission.
+    """The ``pool-break`` fault fired on a worker submission.
 
     Modeled as an ordinary exception (unlike :class:`InjectedCrash`):
-    a broken pool is survivable — the daemon's circuit breaker counts
+    a lost worker is survivable — the executor's circuit breaker counts
     it and degrades to inline execution, which is exactly the path
     under test.
     """
@@ -317,17 +318,7 @@ def active_plan() -> Optional[FaultPlan]:
 
 def hang_seconds() -> float:
     """Sleep duration for the ``hang`` fault (``CHIMERA_FAULT_HANG_S``)."""
-    raw = os.environ.get("CHIMERA_FAULT_HANG_S", "").strip()
-    if not raw:
-        return 3600.0
-    try:
-        seconds = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_FAULT_HANG_S must be a number, got {raw!r}") from exc
-    if seconds < 0:
-        raise ConfigError("CHIMERA_FAULT_HANG_S must be >= 0")
-    return seconds
+    return env_float("CHIMERA_FAULT_HANG_S", 3600.0, minimum=0.0)
 
 
 def in_worker() -> bool:
@@ -339,10 +330,10 @@ def inject_before_execute(index: int, attempt: int) -> None:
     """Fire any fault targeting this (spec index, attempt).
 
     Called by the sweep layer immediately before a spec executes, both
-    in pool workers and in serial in-process execution. ``crash`` only
-    fires in workers: killing the main process would take the whole
-    sweep (and test suite) down, and a crash-prone spec *should* succeed
-    once execution has degraded to serial.
+    in worker processes and inline. ``crash`` only fires in workers:
+    killing the main process would take the whole sweep (and test
+    suite) down, and a crash-prone spec *should* succeed once the
+    circuit breaker runs it inline.
     """
     plan = active_plan()
     if plan is None:
@@ -455,24 +446,12 @@ def slow_slot_factor(slot: int) -> Optional[float]:
     return _sim_factor("slow-slot", slot)
 
 
-def has_pool_break() -> bool:
-    """Is any ``pool-break`` fault active?
-
-    The daemon consults this in thread-mode (no real process pool) to
-    decide whether spec execution should still route through the
-    breaker-guarded pool path so the fault has somewhere to fire.
-    """
-    plan = active_plan()
-    return plan is not None and any(f.kind == "pool-break"
-                                    for f in plan.faults)
-
-
 def inject_pool_break() -> None:
     """Raise :class:`InjectedPoolBreak` if the plan breaks this
-    worker-pool submission. Counts submissions process-locally.
+    worker submission. Counts submissions process-locally.
 
-    Called by the daemon immediately before handing a spec to the pool;
-    the counter resets on :func:`install`/:func:`clear` so
+    Called by the executor immediately before handing a task to a
+    worker; the counter resets on :func:`install`/:func:`clear` so
     fixture-driven tests are deterministic. A no-op (that does not
     count) when no ``pool-break`` fault is active.
     """
@@ -513,7 +492,6 @@ __all__ = [
     "drain_stall_factor",
     "estimate_skew",
     "hang_seconds",
-    "has_pool_break",
     "in_worker",
     "inject_before_execute",
     "inject_pool_break",

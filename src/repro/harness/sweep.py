@@ -4,10 +4,11 @@ Every paper artifact is a sweep of independent, deterministic
 simulations. A :class:`RunSpec` captures one such simulation — scenario
 kind, every parameter, the seed, the machine configuration — as a
 picklable value with a canonical content hash. A :class:`SweepRunner`
-executes batches of RunSpecs, fanning out over a
-``concurrent.futures.ProcessPoolExecutor`` when more than one worker is
-configured and consulting an on-disk :class:`~repro.harness.cache.ResultCache`
-so re-running a figure is a cache hit.
+executes batches of RunSpecs through a
+:class:`~repro.harness.executor.WorkerExecutor`, on forked worker
+processes when more than one job is configured, and consults an on-disk
+:class:`~repro.harness.cache.ResultCache` so re-running a figure is a
+cache hit.
 
 Parallel execution is bit-identical to serial execution: each RunSpec
 builds its whole simulation (engine, RNG streams, GPU) from scratch
@@ -17,18 +18,20 @@ which process ran it, in which order, or after how many retries.
 The runner is built to survive worker failure (DESIGN.md §7 has the
 full state machine):
 
-* every spec is submitted as its own future and its result is persisted
-  to the cache *the moment it completes* — a later sibling failure can
-  never discard finished work;
+* every spec is its own task and its result is persisted to the cache
+  *the moment it completes* — a later sibling failure can never discard
+  finished work;
 * a failing attempt is retried up to ``max_retries`` times with
   exponential backoff before becoming a :class:`SpecFailure`;
-* a per-spec wall-clock ``timeout`` bounds hung workers: the pool is
-  torn down, surviving specs are resubmitted, and the hung spec is
-  retried or reported as a timeout failure;
-* a broken process pool (crashed worker) is rebuilt up to
-  ``max_pool_rebuilds`` times; past that the runner degrades gracefully
-  to serial in-process execution (where timeouts are unenforceable but
-  every remaining spec still runs);
+* a per-spec wall-clock ``timeout`` bounds hung specs: only the hung
+  spec's worker is killed and replaced, and the spec is retried or
+  reported as a timeout failure — no sibling is re-run;
+* a crashed worker costs only the spec it ran, which is requeued at the
+  same attempt; the circuit ``breaker`` counts crashes, and while it is
+  open specs run inline in this process (where timeouts are
+  unenforceable but every remaining spec still runs) until a half-open
+  probe restores the workers — as does a spec that has itself crashed
+  the breaker's ``K`` workers;
 * ``strict=True`` (default) raises :class:`~repro.errors.SweepError`
   *after* the whole batch has been driven to completion; ``strict=False``
   (keep-going) returns :class:`SpecFailure` objects in the result list.
@@ -44,6 +47,8 @@ Environment knobs:
   attempt (default ``0.1``)
 * ``CHIMERA_KEEP_GOING``    — any non-empty value makes runners
   non-strict by default
+* ``CHIMERA_BREAKER_*``     — the circuit breaker; see
+  :mod:`repro.harness.executor`
 * ``CHIMERA_FAULTS``        — deterministic fault injection; see
   :mod:`repro.harness.faults`
 * ``CHIMERA_CACHE_DIR`` / ``CHIMERA_NO_CACHE`` — see
@@ -54,10 +59,6 @@ Environment knobs:
   to capture everything, as ``--trace`` does)
 * ``CHIMERA_TRACE_CAPACITY`` — per-spec trace record cap (default
   500000; overflow counts in the file's ``dropped`` header field)
-* ``CHIMERA_SWEEP_CHUNK``    — cache misses are driven through the pool
-  in chunks of this many specs (default 2048) so giant sweeps keep
-  bounded per-chunk bookkeeping and persist work chunk by chunk;
-  ``0`` disables chunking
 * ``CHIMERA_WORKER_GROUP``   — ``"i/N"`` splits a sweep across N
   detached runner processes coordinated only through the shared
   content-addressed cache: this runner executes the misses whose key
@@ -76,31 +77,16 @@ import logging
 import os
 import re
 import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import repro
+from repro.env import env_float, env_int
 from repro.errors import ConfigError, SweepError
 from repro.gpu.config import GPUConfig
 from repro.harness import faults
 from repro.harness.cache import ResultCache
+from repro.harness.executor import CircuitBreaker, TaskFailure, WorkerExecutor
 from repro.harness.runner import (
     PairResult,
     PeriodicResult,
@@ -125,9 +111,6 @@ RunResult = Union[SoloResult, PairResult, PeriodicResult, TrafficResult]
 #: v3: RunSpec gained the ``scenario`` field (traffic kind) and traffic
 #: results carry an ``slo`` report.
 SPEC_VERSION = 3
-
-#: Pool rebuilds tolerated before degrading to serial execution.
-DEFAULT_MAX_POOL_REBUILDS = 2
 
 
 @dataclass(frozen=True)
@@ -323,17 +306,7 @@ def default_trace_dir() -> Optional[str]:
 
 def default_trace_capacity() -> int:
     """Per-spec trace record cap from ``CHIMERA_TRACE_CAPACITY``."""
-    raw = os.environ.get("CHIMERA_TRACE_CAPACITY", "").strip()
-    if not raw:
-        return 500_000
-    try:
-        capacity = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_TRACE_CAPACITY must be an integer, got {raw!r}") from exc
-    if capacity < 1:
-        raise ConfigError("CHIMERA_TRACE_CAPACITY must be >= 1")
-    return capacity
+    return env_int("CHIMERA_TRACE_CAPACITY", 500_000, minimum=1)
 
 
 def trace_path_for(spec: RunSpec, trace_dir: str) -> str:
@@ -346,10 +319,10 @@ def trace_path_for(spec: RunSpec, trace_dir: str) -> str:
 
 def execute_timed(spec: RunSpec) -> Tuple[RunResult, float]:
     """Execute a spec, returning (result, wall seconds). Module-level so
-    ProcessPoolExecutor can pickle it for workers.
+    it pickles by reference into worker processes.
 
     When ``CHIMERA_TRACE`` names a directory (the env var is inherited
-    by pool workers), the run is captured to a per-spec JSONL trace
+    by worker processes), the run is captured to a per-spec JSONL trace
     there; the dump happens outside the timed region.
     """
     trace_dir = default_trace_dir()
@@ -367,7 +340,7 @@ def execute_faulted(spec: RunSpec, index: int,
                     attempt: int) -> Tuple[RunResult, float]:
     """Fault-injection-aware :func:`execute_timed`: fires any configured
     fault for (batch index, attempt) first. Module-level and picklable;
-    this is what the runner actually submits to workers."""
+    this is the task the runner submits to its executor."""
     faults.inject_before_execute(index, attempt)
     return execute_timed(spec)
 
@@ -386,8 +359,10 @@ class SweepStats:
     #: Results produced by other worker groups and picked up from the
     #: shared cache (zero unless CHIMERA_WORKER_GROUP splits the sweep).
     foreign: int = 0
-    chunks: int = 0
-    pool_rebuilds: int = 0
+    #: Workers lost mid-spec (crashes and injected pool breaks); each
+    #: requeued its spec at the same attempt.
+    worker_deaths: int = 0
+    #: True when the circuit breaker sent some spec inline.
     degraded: bool = False
     wall_s: float = 0.0
     #: Sum of per-spec execution times — what a one-process sweep would
@@ -412,8 +387,7 @@ class SweepStats:
         self.timeouts += other.timeouts
         self.failed += other.failed
         self.foreign += other.foreign
-        self.chunks += other.chunks
-        self.pool_rebuilds += other.pool_rebuilds
+        self.worker_deaths += other.worker_deaths
         self.degraded = self.degraded or other.degraded
         self.wall_s += other.wall_s
         self.serial_equiv_s += other.serial_equiv_s
@@ -422,11 +396,6 @@ class SweepStats:
         self.slo_arrivals += other.slo_arrivals
         self.slo_met += other.slo_met
         self.slo_dropped += other.slo_dropped
-
-    @property
-    def speedup(self) -> float:
-        """Serial-equivalent time over actual wall time."""
-        return self.serial_equiv_s / self.wall_s if self.wall_s > 0 else 0.0
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready form for the timings log."""
@@ -439,12 +408,10 @@ class SweepStats:
             "timeouts": self.timeouts,
             "failed": self.failed,
             "foreign": self.foreign,
-            "chunks": self.chunks,
-            "pool_rebuilds": self.pool_rebuilds,
+            "worker_deaths": self.worker_deaths,
             "degraded": self.degraded,
             "wall_s": round(self.wall_s, 4),
             "serial_equiv_s": round(self.serial_equiv_s, 4),
-            "speedup": round(self.speedup, 2),
             "qos_violations": self.qos_violations,
             "qos_escalations": self.qos_escalations,
             "slo_arrivals": self.slo_arrivals,
@@ -455,17 +422,7 @@ class SweepStats:
 
 def default_jobs() -> int:
     """Worker count from ``CHIMERA_JOBS``, default ``os.cpu_count()``."""
-    raw = os.environ.get("CHIMERA_JOBS", "").strip()
-    if raw:
-        try:
-            jobs = int(raw)
-        except ValueError as exc:
-            raise ConfigError(
-                f"CHIMERA_JOBS must be an integer, got {raw!r}") from exc
-        if jobs < 1:
-            raise ConfigError("CHIMERA_JOBS must be >= 1")
-        return jobs
-    return os.cpu_count() or 1
+    return env_int("CHIMERA_JOBS", os.cpu_count() or 1, minimum=1)
 
 
 def default_spec_timeout() -> Optional[float]:
@@ -473,77 +430,23 @@ def default_spec_timeout() -> Optional[float]:
 
     Unset or ``0`` means no timeout (returns None).
     """
-    raw = os.environ.get("CHIMERA_SPEC_TIMEOUT", "").strip()
-    if not raw:
-        return None
-    try:
-        timeout = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SPEC_TIMEOUT must be a number of seconds, "
-            f"got {raw!r}") from exc
-    if timeout < 0:
-        raise ConfigError("CHIMERA_SPEC_TIMEOUT must be >= 0 (0 disables)")
-    return timeout or None
+    return env_float("CHIMERA_SPEC_TIMEOUT", 0.0, minimum=0.0) or None
 
 
 def default_max_retries() -> int:
     """Retry budget per spec from ``CHIMERA_MAX_RETRIES`` (default 1)."""
-    raw = os.environ.get("CHIMERA_MAX_RETRIES", "").strip()
-    if not raw:
-        return 1
-    try:
-        retries = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_MAX_RETRIES must be an integer, got {raw!r}") from exc
-    if retries < 0:
-        raise ConfigError("CHIMERA_MAX_RETRIES must be >= 0")
-    return retries
+    return env_int("CHIMERA_MAX_RETRIES", 1, minimum=0)
 
 
 def default_retry_backoff() -> float:
     """Base retry backoff seconds from ``CHIMERA_RETRY_BACKOFF``
     (default 0.1; doubled on every subsequent attempt)."""
-    raw = os.environ.get("CHIMERA_RETRY_BACKOFF", "").strip()
-    if not raw:
-        return 0.1
-    try:
-        backoff = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_RETRY_BACKOFF must be a number of seconds, "
-            f"got {raw!r}") from exc
-    if backoff < 0:
-        raise ConfigError("CHIMERA_RETRY_BACKOFF must be >= 0")
-    return backoff
+    return env_float("CHIMERA_RETRY_BACKOFF", 0.1, minimum=0.0)
 
 
 def default_strict() -> bool:
     """Strictness default: ``CHIMERA_KEEP_GOING`` set means non-strict."""
     return not os.environ.get("CHIMERA_KEEP_GOING", "").strip()
-
-
-#: Default spec count per submission chunk (see CHIMERA_SWEEP_CHUNK).
-DEFAULT_CHUNK_SIZE = 2048
-
-
-def default_chunk_size() -> int:
-    """Submission chunk size from ``CHIMERA_SWEEP_CHUNK``.
-
-    ``0`` disables chunking (the whole batch is one chunk).
-    """
-    raw = os.environ.get("CHIMERA_SWEEP_CHUNK", "").strip()
-    if not raw:
-        return DEFAULT_CHUNK_SIZE
-    try:
-        chunk = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SWEEP_CHUNK must be an integer, got {raw!r}") from exc
-    if chunk < 0:
-        raise ConfigError("CHIMERA_SWEEP_CHUNK must be >= 0 (0 disables)")
-    return chunk
 
 
 def default_worker_group() -> Optional[Tuple[int, int]]:
@@ -568,18 +471,7 @@ def default_shard_wait() -> float:
     """Seconds to wait for foreign worker groups' cache entries, from
     ``CHIMERA_SHARD_WAIT`` (default 600; 0 fails foreign misses
     immediately)."""
-    raw = os.environ.get("CHIMERA_SHARD_WAIT", "").strip()
-    if not raw:
-        return 600.0
-    try:
-        wait_s = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SHARD_WAIT must be a number of seconds, "
-            f"got {raw!r}") from exc
-    if wait_s < 0:
-        raise ConfigError("CHIMERA_SHARD_WAIT must be >= 0")
-    return wait_s
+    return env_float("CHIMERA_SHARD_WAIT", 600.0, minimum=0.0)
 
 
 def group_of(key: str, total: int) -> int:
@@ -597,14 +489,15 @@ class SweepRunner:
     (or across batches on the same runner) execute once: an in-memory
     memo keyed by content hash returns the *same* result object, and the
     on-disk cache replays results across processes and sessions. Each
-    result is persisted the moment its future completes, so a failing
+    result is persisted the moment its spec completes, so a failing
     sibling can never discard finished work.
 
-    Failure handling (see the module docstring and DESIGN.md §7):
-    per-spec ``timeout``, bounded ``max_retries`` with exponential
-    backoff, pool rebuild on ``BrokenProcessPool`` with graceful
-    degradation to serial execution, and ``strict``/keep-going result
-    contracts.
+    Failure handling (see the module docstring and DESIGN.md §7) is the
+    executor's: per-spec ``timeout``, bounded ``max_retries`` with
+    exponential backoff, and a circuit ``breaker`` that sends specs
+    inline after repeated worker crashes. The runner adds the
+    ``strict``/keep-going result contracts. Workers live for one
+    :meth:`run` call.
     """
 
     def __init__(self, jobs: Optional[int] = None,
@@ -613,8 +506,7 @@ class SweepRunner:
                  max_retries: Optional[int] = None,
                  retry_backoff: Optional[float] = None,
                  strict: Optional[bool] = None,
-                 max_pool_rebuilds: int = DEFAULT_MAX_POOL_REBUILDS,
-                 chunk_size: Optional[int] = None,
+                 breaker: Optional[CircuitBreaker] = None,
                  worker_group: Optional[Tuple[int, int]] = None,
                  shard_wait: Optional[float] = None):
         self.jobs = default_jobs() if jobs is None else jobs
@@ -634,11 +526,9 @@ class SweepRunner:
         if self.retry_backoff < 0:
             raise ConfigError("retry_backoff must be >= 0")
         self.strict = default_strict() if strict is None else strict
-        self.max_pool_rebuilds = max_pool_rebuilds
-        self.chunk_size = default_chunk_size() if chunk_size is None \
-            else chunk_size
-        if self.chunk_size < 0:
-            raise ConfigError("chunk_size must be >= 0 (0 disables)")
+        #: Counts worker crashes across this runner's run() calls.
+        self.breaker = CircuitBreaker.from_env() if breaker is None \
+            else breaker
         self.worker_group = default_worker_group() if worker_group is None \
             else worker_group
         if self.worker_group is not None:
@@ -656,8 +546,6 @@ class SweepRunner:
                 "unset CHIMERA_NO_CACHE to use CHIMERA_WORKER_GROUP")
         self._memo: Dict[str, RunResult] = {}
         self._memo_duration: Dict[str, float] = {}
-        #: Once True, every later batch runs serially in-process.
-        self._degraded = False
         #: Stats of the most recent run() call.
         self.last_stats: Optional[SweepStats] = None
         #: Stats accumulated over this runner's lifetime.
@@ -705,7 +593,6 @@ class SweepRunner:
                 result = self._memo[key]
                 for i in misses[key]:
                     results[i] = result
-        stats.degraded = self._degraded
         stats.wall_s = time.perf_counter() - start
         self.last_stats = stats
         self.total_stats.merge(stats)
@@ -743,21 +630,11 @@ class SweepRunner:
             stats.slo_met += int(slo.get("met", 0))
             stats.slo_dropped += int(slo.get("dropped", 0))
 
-    def _backoff_delay(self, attempt: int) -> float:
-        """Exponential backoff before retry ``attempt`` (1-based)."""
-        return self.retry_backoff * (2 ** (attempt - 1))
-
     def _drive_misses(self, order: List[Tuple[str, RunSpec]],
                       stats: SweepStats) -> List[Optional[SpecFailure]]:
         """Run the deduplicated misses: partition by worker group, then
-        feed this runner's share through the pool chunk by chunk.
-
-        Chunking keeps per-chunk bookkeeping (futures, retry queues)
-        bounded on giant sweeps and flushes results to the cache a
-        chunk at a time; in-flight futures within a chunk are already
-        bounded by the worker count. Returns failures aligned with
-        ``order``.
-        """
+        execute this runner's share. Returns failures aligned with
+        ``order``."""
         failures: List[Optional[SpecFailure]] = [None] * len(order)
         if self.worker_group is not None:
             index, total = self.worker_group
@@ -768,17 +645,49 @@ class SweepRunner:
         else:
             mine = list(enumerate(order))
             theirs = []
-        chunk = self.chunk_size or len(mine) or 1
-        for start in range(0, len(mine), chunk):
-            part = mine[start:start + chunk]
-            stats.chunks += 1
-            part_failures = self._execute_batch(
-                [item for _, item in part], stats)
-            for (pos, _), failure in zip(part, part_failures):
-                failures[pos] = failure
+        if mine:
+            self._execute(mine, failures, stats)
         if theirs:
             self._await_foreign(theirs, failures, stats)
         return failures
+
+    def _execute(self, mine: List[Tuple[int, Tuple[str, RunSpec]]],
+                 failures: List[Optional[SpecFailure]],
+                 stats: SweepStats) -> None:
+        """Run ``mine`` through an executor whose workers live for this
+        call, recording each result the moment it lands.
+
+        ``jobs=1`` runs inline, and so does a one-spec batch without a
+        timeout; an enforced timeout always needs a worker, because an
+        inline spec cannot be preempted. Each spec's position in
+        ``mine`` is its fault-injection index.
+        """
+        single = len(mine) == 1 and not self.timeout
+        workers = (0 if self.jobs == 1 or single
+                   else min(self.jobs, len(mine)))
+        executor = WorkerExecutor(workers, breaker=self.breaker,
+                                  deadline_s=self.timeout,
+                                  max_retries=self.max_retries,
+                                  retry_backoff=self.retry_backoff)
+        with executor:
+            # Looked up now, not at import: callers patch this name.
+            tasks = [(spec, index)
+                     for index, (_, (_, spec)) in enumerate(mine)]
+            for index, outcome in executor.map(execute_faulted, tasks):
+                pos, (key, spec) = mine[index]
+                if isinstance(outcome, TaskFailure):
+                    failures[pos] = SpecFailure(
+                        spec=spec, kind=outcome.kind, error=outcome.error,
+                        attempts=outcome.attempts)
+                    logger.warning("spec %s failed permanently (%s): %s",
+                                   spec.describe(), outcome.kind,
+                                   outcome.error)
+                else:
+                    self._record(key, *outcome, stats)
+        stats.retries += executor.retries
+        stats.timeouts += executor.timeouts
+        stats.worker_deaths += executor.deaths
+        stats.degraded = executor.degraded
 
     def _await_foreign(self,
                        theirs: List[Tuple[int, Tuple[str, RunSpec]]],
@@ -819,233 +728,6 @@ class SweepRunner:
             logger.warning("foreign spec %s missing from shared cache "
                            "after %.3gs", spec.describe(), self.shard_wait)
 
-    def _execute_batch(self, items: List[Tuple[str, RunSpec]],
-                       stats: SweepStats) -> List[Optional[SpecFailure]]:
-        """Run the deduplicated cache misses, parallel or serial.
-
-        Returns a list aligned with ``items``: None where the spec
-        succeeded (its result is in the memo/cache), a SpecFailure where
-        it failed permanently.
-        """
-        failures: List[Optional[SpecFailure]] = [None] * len(items)
-        if not items:
-            return failures
-        # A single-spec batch skips the pool only when no timeout is set:
-        # serial execution cannot preempt a hung spec, so an enforced
-        # timeout always needs the worker process.
-        single = len(items) == 1 and not self.timeout
-        if self.jobs == 1 or single or self._degraded:
-            self._run_serial(items, [(i, 0) for i in range(len(items))],
-                             failures, stats)
-        else:
-            self._run_pool(items, failures, stats)
-        return failures
-
-    # ------------------------------------------------------------------
-    # serial execution (jobs=1, single spec, or degraded mode)
-    # ------------------------------------------------------------------
-
-    def _run_serial(self, items: List[Tuple[str, RunSpec]],
-                    entries: Sequence[Tuple[int, int]],
-                    failures: List[Optional[SpecFailure]],
-                    stats: SweepStats) -> None:
-        """Execute (index, attempt) entries in-process with retries.
-
-        Timeouts are unenforceable here — an in-process spec cannot be
-        preempted — so hangs are the caller's risk; crash faults are
-        deliberately inert in the main process (see
-        :func:`repro.harness.faults.inject_before_execute`).
-        """
-        for index, attempt in entries:
-            key, spec = items[index]
-            while True:
-                try:
-                    result, duration = execute_faulted(spec, index, attempt)
-                except Exception as exc:
-                    if attempt < self.max_retries:
-                        attempt += 1
-                        stats.retries += 1
-                        delay = self._backoff_delay(attempt)
-                        if delay:
-                            time.sleep(delay)
-                        continue
-                    failures[index] = SpecFailure(
-                        spec=spec, kind="error",
-                        error=f"{type(exc).__name__}: {exc}",
-                        attempts=attempt + 1)
-                    logger.warning("spec %s failed permanently: %s",
-                                   spec.describe(), exc)
-                    break
-                else:
-                    self._record(key, result, duration, stats)
-                    break
-
-    # ------------------------------------------------------------------
-    # pool execution
-    # ------------------------------------------------------------------
-
-    def _run_pool(self, items: List[Tuple[str, RunSpec]],
-                  failures: List[Optional[SpecFailure]],
-                  stats: SweepStats) -> None:
-        """Fan out over a process pool with per-future supervision.
-
-        Each spec is submitted as its own future carrying a wall-clock
-        deadline. Completions are recorded immediately; failed attempts
-        requeue with backoff until retries run out; a hung future kills
-        the pool (hung workers cannot be cancelled) and resubmits the
-        survivors; a broken pool is rebuilt until ``max_pool_rebuilds``
-        is exhausted, after which execution degrades to serial.
-        """
-        workers = min(self.jobs, len(items))
-        ready: Deque[Tuple[int, int]] = deque(
-            (i, 0) for i in range(len(items)))
-        delayed: List[Tuple[float, int, int]] = []   # (ready_at, idx, attempt)
-        inflight: Dict[Future, Tuple[int, int, Optional[float]]] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-
-        def retry_or_fail(index: int, attempt: int, kind: str,
-                          message: str) -> None:
-            if attempt < self.max_retries:
-                stats.retries += 1
-                ready_at = time.monotonic() + self._backoff_delay(attempt + 1)
-                delayed.append((ready_at, index, attempt + 1))
-            else:
-                failures[index] = SpecFailure(
-                    spec=items[index][1], kind=kind, error=message,
-                    attempts=attempt + 1)
-                logger.warning("spec %s failed permanently (%s): %s",
-                               items[index][1].describe(), kind, message)
-
-        def abandon_pool(kill: bool) -> None:
-            """Requeue all in-flight work and discard the pool."""
-            nonlocal pool
-            for _, (i, a, _) in sorted(inflight.items(),
-                                       key=lambda kv: kv[1][0]):
-                ready.append((i, a))
-            inflight.clear()
-            if pool is not None:
-                self._shutdown_pool(pool, kill=kill)
-                pool = None
-
-        try:
-            while ready or delayed or inflight:
-                if self._degraded:
-                    abandon_pool(kill=True)
-                    leftovers = sorted(list(ready)
-                                       + [(i, a) for _, i, a in delayed])
-                    ready.clear()
-                    delayed.clear()
-                    self._run_serial(items, leftovers, failures, stats)
-                    return
-                now = time.monotonic()
-                if delayed:
-                    due = [(i, a) for ready_at, i, a in delayed
-                           if ready_at <= now]
-                    if due:
-                        delayed = [(r, i, a) for r, i, a in delayed if r > now]
-                        ready.extend(sorted(due))
-                broken = False
-                while ready and len(inflight) < workers:
-                    index, attempt = ready.popleft()
-                    if pool is None:
-                        pool = ProcessPoolExecutor(max_workers=workers)
-                    deadline = (time.monotonic() + self.timeout
-                                if self.timeout else None)
-                    try:
-                        fut = pool.submit(execute_faulted, items[index][1],
-                                          index, attempt)
-                    except BrokenExecutor:
-                        ready.appendleft((index, attempt))
-                        broken = True
-                        break
-                    inflight[fut] = (index, attempt, deadline)
-                if broken:
-                    self._note_pool_break(stats)
-                    abandon_pool(kill=True)
-                    continue
-                if not inflight:
-                    if delayed:
-                        next_ready = min(r for r, _, _ in delayed)
-                        pause = next_ready - time.monotonic()
-                        if pause > 0:
-                            time.sleep(pause)
-                    continue
-                deadlines = [d for _, _, d in inflight.values()
-                             if d is not None]
-                wake_at = deadlines + [r for r, _, _ in delayed]
-                poll = (max(0.0, min(wake_at) - time.monotonic())
-                        if wake_at else None)
-                done, _ = wait(list(inflight), timeout=poll,
-                               return_when=FIRST_COMPLETED)
-                for fut in done:
-                    index, attempt, _ = inflight.pop(fut)
-                    try:
-                        result, duration = fut.result()
-                    except BrokenExecutor:
-                        ready.append((index, attempt))
-                        broken = True
-                    except Exception as exc:
-                        retry_or_fail(index, attempt, "error",
-                                      f"{type(exc).__name__}: {exc}")
-                    else:
-                        self._record(items[index][0], result, duration, stats)
-                if broken:
-                    self._note_pool_break(stats)
-                    abandon_pool(kill=True)
-                    continue
-                now = time.monotonic()
-                expired = [fut for fut, (_, _, d) in inflight.items()
-                           if d is not None and now >= d]
-                if expired:
-                    for fut in expired:
-                        index, attempt, _ = inflight.pop(fut)
-                        stats.timeouts += 1
-                        logger.warning(
-                            "spec %s attempt %d timed out after %.3gs; "
-                            "killing worker pool",
-                            items[index][1].describe(), attempt, self.timeout)
-                        retry_or_fail(
-                            index, attempt, "timeout",
-                            f"exceeded {self.timeout:.3g}s wall-clock timeout")
-                    # Hung workers cannot be cancelled individually: kill
-                    # the whole pool and resubmit the innocent survivors
-                    # at their current attempt. Deliberate kills do not
-                    # count toward degradation.
-                    abandon_pool(kill=True)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-
-    def _note_pool_break(self, stats: SweepStats) -> None:
-        """Record one BrokenProcessPool; degrade after too many."""
-        stats.pool_rebuilds += 1
-        total = self.total_stats.pool_rebuilds + stats.pool_rebuilds
-        if total > self.max_pool_rebuilds:
-            self._degraded = True
-            logger.warning(
-                "process pool broke %d time(s); degrading to serial "
-                "in-process execution (timeouts no longer enforced)", total)
-        else:
-            logger.warning(
-                "process pool broke (worker died); rebuilding "
-                "(%d/%d rebuilds used)", total, self.max_pool_rebuilds)
-
-    @staticmethod
-    def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool) -> None:
-        """Tear a pool down, terminating workers when ``kill`` is set."""
-        if kill:
-            processes = list((getattr(pool, "_processes", None) or {}).values())
-            for proc in processes:
-                try:
-                    proc.terminate()
-                except Exception:  # pragma: no cover - already dead
-                    pass
-            pool.shutdown(wait=False, cancel_futures=True)
-            for proc in processes:
-                proc.join(timeout=5)
-        else:
-            pool.shutdown(wait=True)
-
 
 __all__ = [
     "RunSpec",
@@ -1053,8 +735,6 @@ __all__ = [
     "SpecFailure",
     "SweepRunner",
     "SweepStats",
-    "DEFAULT_CHUNK_SIZE",
-    "default_chunk_size",
     "default_jobs",
     "default_max_retries",
     "default_retry_backoff",

@@ -8,8 +8,9 @@ The service layer turns the batch harness into a long-running system:
 * :mod:`repro.service.admission` — bounded priority queue with
   explicit backpressure
 * :mod:`repro.service.overload` — graceful degradation: deadline-aware
-  admission (service-time EWMA), brownout load shedding, queue-age
-  expiry, and the worker-pool circuit breaker
+  admission (service-time EWMA), brownout load shedding and queue-age
+  expiry; the workers' circuit breaker lives in
+  :mod:`repro.harness.executor`, shared with the sweep runner
 * :mod:`repro.service.daemon` — the tick loop: intake, dispatch,
   collaborative spec-boundary preemption, heartbeat watchdog, recovery
 * :mod:`repro.service.client` — filesystem API: submit/status/cancel
@@ -18,6 +19,7 @@ See DESIGN.md §12 for the architecture and the durability contract,
 §15 for overload control.
 """
 
+from repro.harness.executor import CircuitBreaker
 from repro.service.admission import AdmissionQueue, default_capacity
 from repro.service.client import ServiceClient
 from repro.service.daemon import (
@@ -29,7 +31,6 @@ from repro.service.daemon import (
 from repro.service.overload import (
     BROWNOUT_LEVELS,
     BrownoutController,
-    CircuitBreaker,
     ServiceTimeEstimator,
     default_queue_ttl,
 )

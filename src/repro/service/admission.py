@@ -15,9 +15,9 @@ for a given submission history.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import List, Optional, Set, Tuple
 
+from repro.env import env_int
 from repro.errors import AdmissionError, ConfigError, ServiceError
 from repro.service.state import Job
 
@@ -29,18 +29,7 @@ DEFAULT_CAPACITY = 64
 
 def default_capacity() -> int:
     """Queue bound from ``CHIMERA_SERVICE_CAPACITY`` (default 64)."""
-    raw = os.environ.get("CHIMERA_SERVICE_CAPACITY", "").strip()
-    if not raw:
-        return DEFAULT_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SERVICE_CAPACITY must be an integer, got {raw!r}"
-        ) from exc
-    if capacity < 1:
-        raise ConfigError("CHIMERA_SERVICE_CAPACITY must be >= 1")
-    return capacity
+    return env_int("CHIMERA_SERVICE_CAPACITY", DEFAULT_CAPACITY, minimum=1)
 
 
 class AdmissionQueue:

@@ -15,18 +15,19 @@ Execution model
 A job is a batch of deterministic RunSpecs. The daemon owns ``workers``
 execution slots; each busy slot has a supervision thread walking its
 job's specs in order, and the index of the first unexecuted spec is the
-job's checkpoint. With more than one worker the specs themselves run in
-a pool of **forked worker processes**, so CPU-bound simulation
-parallelizes past the GIL; with one worker they run in the slot thread,
-preserving the original single-worker behavior exactly. Preemption is
-*collaborative*, exactly in the spirit of the paper's SM preemption
-lifted to the service layer: the daemon requests preemption (sets a
-flag), the worker yields at the next spec boundary, and only then is
-the PREEMPTED transition journaled with the checkpoint. When every slot
-is busy and higher-priority work waits, victims are chosen across slots
-by Chimera's cheapest-victim cost ordering: lowest priority first, then
-the slot with the least completed-but-unmerged work, then the slot
-longest into its current spec (nearest its next boundary).
+job's checkpoint. With more than one worker the specs themselves run on
+**forked worker processes** of a
+:class:`~repro.harness.executor.WorkerExecutor`, one per slot, so
+CPU-bound simulation parallelizes past the GIL; with one worker they run in
+the slot thread, preserving the original single-worker behavior exactly.
+Preemption is *collaborative*, exactly in the spirit of the paper's SM
+preemption lifted to the service layer: the daemon requests preemption
+(sets a flag), the worker yields at the next spec boundary, and only
+then is the PREEMPTED transition journaled with the checkpoint. When
+every slot is busy and higher-priority work waits, victims are chosen
+across slots by Chimera's cheapest-victim cost ordering: lowest priority
+first, then the slot with the least completed-but-unmerged work, then
+the slot longest into its current spec (nearest its next boundary).
 
 Durability contract (DESIGN.md §12, §14)
 ----------------------------------------
@@ -58,10 +59,13 @@ Environment knobs:
   ``os.cpu_count()``); ``1`` keeps execution in-process/in-thread
 * ``CHIMERA_HEARTBEAT``        — worker heartbeat watchdog timeout in
   seconds (default 30); a worker silent for longer is declared lost and
-  its job FAILED
-* ``CHIMERA_QUEUE_TTL``, ``CHIMERA_BROWNOUT_*``, ``CHIMERA_BREAKER_*``
-  — overload control (queue-age expiry, brownout watermarks, worker
-  pool circuit breaker); see :mod:`repro.service.overload`
+  its job FAILED. It is also each spec's deadline on a worker process:
+  a spec still running then has its worker killed and replaced
+* ``CHIMERA_QUEUE_TTL``, ``CHIMERA_BROWNOUT_*`` — overload control
+  (queue-age expiry, brownout watermarks); see
+  :mod:`repro.service.overload`
+* ``CHIMERA_BREAKER_*``        — the workers' circuit breaker; see
+  :mod:`repro.harness.executor`
 
 Overload control (DESIGN.md §15)
 --------------------------------
@@ -74,9 +78,9 @@ restarts recover the level); the circuit breaker's state changes are
 journaled too. Admission adds two gates ahead of the capacity bound:
 the brownout level (reason ``"brownout"``) and a deadline check fed by
 a rolling service-time EWMA (reason ``"unmeetable-slo"``) — both
-rejections carry a ``retry_after_s`` hint. While the breaker is open,
-dispatch degrades to a single slot and cache misses run inline instead
-of in the pool; a half-open probe restores full concurrency.
+rejections carry a ``retry_after_s`` hint. While the executor's breaker
+is open, dispatch degrades to a single slot and cache misses run inline
+instead of on workers; a half-open probe restores full concurrency.
 """
 
 from __future__ import annotations
@@ -86,21 +90,20 @@ import errno
 import io
 import json
 import logging
-import multiprocessing
 import os
 import select
 import stat
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.env import env_float, env_int
 from repro.errors import AdmissionError, ConfigError, ServiceError
 from repro.harness import faults
 from repro.harness.cache import ResultCache
+from repro.harness.executor import CircuitBreaker, WorkerExecutor
 from repro.harness.runner import result_qos
 from repro.harness.scenario import result_slo
 from repro.harness.sweep import RunSpec, execute_timed
@@ -109,7 +112,6 @@ from repro.metrics.slo import merge_slo_summaries
 from repro.service.admission import AdmissionQueue
 from repro.service.overload import (
     BrownoutController,
-    CircuitBreaker,
     ServiceTimeEstimator,
     default_queue_ttl,
 )
@@ -154,18 +156,7 @@ def default_service_dir() -> str:
 
 def default_heartbeat() -> float:
     """Watchdog timeout in seconds from ``CHIMERA_HEARTBEAT``."""
-    raw = os.environ.get("CHIMERA_HEARTBEAT", "").strip()
-    if not raw:
-        return DEFAULT_HEARTBEAT_S
-    try:
-        heartbeat = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_HEARTBEAT must be a number of seconds, got {raw!r}"
-        ) from exc
-    if heartbeat <= 0:
-        raise ConfigError("CHIMERA_HEARTBEAT must be > 0")
-    return heartbeat
+    return env_float("CHIMERA_HEARTBEAT", DEFAULT_HEARTBEAT_S, above=0.0)
 
 
 def default_workers() -> int:
@@ -175,18 +166,8 @@ def default_workers() -> int:
     CPU-bound simulator runs, so one slot per core is the saturation
     point.
     """
-    raw = os.environ.get("CHIMERA_SERVICE_WORKERS", "").strip()
-    if not raw:
-        return max(1, os.cpu_count() or 1)
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_SERVICE_WORKERS must be an integer, got {raw!r}"
-        ) from exc
-    if workers < 1:
-        raise ConfigError("CHIMERA_SERVICE_WORKERS must be >= 1")
-    return workers
+    return env_int("CHIMERA_SERVICE_WORKERS", os.cpu_count() or 1,
+                   minimum=1)
 
 
 def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
@@ -238,34 +219,32 @@ def _ring_doorbell(control_dir: Path) -> None:
         os.close(fd)
 
 
-def _pool_warmup() -> int:
-    """No-op pool task used to force worker processes into existence
-    while the daemon is still single-threaded (forking after the slot
-    threads start is unsafe)."""
-    return os.getpid()
+def _summary(result: Any, duration: float) -> Dict[str, Any]:
+    """The small per-spec fields a job's result file keeps."""
+    return {"duration_s": round(duration, 6),
+            "qos": result_qos(result),
+            "slo": result_slo(result)}
 
 
-def _process_spec(spec: RunSpec, cache_dir: str,
-                  cache_enabled: bool) -> Dict[str, Any]:
-    """Pool-worker side of one spec execution.
+def _process_spec(spec: RunSpec, cache_dir: str, cache_enabled: bool,
+                  attempt: int) -> Dict[str, Any]:
+    """The executor's task for one cache miss (``attempt`` is unused:
+    the daemon does not retry a spec that raises).
 
-    Runs in a forked worker process: rebuilds a cache handle over the
-    shared directory, executes (or replays) the spec, and returns only
-    the small summary fields — large results never cross the pipe, they
+    On a forked worker it rebuilds a cache handle over the shared
+    directory, executes (or replays) the spec, and returns only the
+    small summary fields — large results never cross the pipe, they
     land in the content-addressed cache where the parent (or a restart)
-    can replay them.
+    can replay them. Inline, it does the same in the slot thread.
     """
     cache = ResultCache(cache_dir, enabled=cache_enabled)
     key = spec.cache_key()
     entry = cache.get(key)
     if entry is not None:
-        result, duration = entry.result, entry.duration_s
-    else:
-        result, duration = execute_timed(spec)
-        cache.put(key, result, duration)
-    return {"duration_s": round(duration, 6),
-            "qos": result_qos(result),
-            "slo": result_slo(result)}
+        return _summary(entry.result, entry.duration_s)
+    result, duration = execute_timed(spec)
+    cache.put(key, result, duration)
+    return _summary(result, duration)
 
 
 class _RunningJob:
@@ -331,9 +310,9 @@ class SchedulerDaemon:
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        #: With one worker, specs run in the slot thread (the PR 7
-        #: behavior, and what the fault-injection tests monkeypatch);
-        #: with more, in forked worker processes to escape the GIL.
+        #: With one worker, specs run in the slot thread (what the
+        #: fault-injection tests monkeypatch); with more, in forked
+        #: worker processes to escape the GIL.
         self.use_processes = (self.workers > 1 if use_processes is None
                               else bool(use_processes))
         self.table = JobTable()
@@ -357,13 +336,11 @@ class SchedulerDaemon:
         #: Re-entrant: the SIGTERM handler rings on the main thread and
         #: may interrupt it while it holds the lock.
         self._bell_lock = threading.RLock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
-        #: Worker process handles, kept past pool shutdown so
-        #: :meth:`emergency_stop` can kill them after a crash.
-        self._pool_procs: List[Any] = []
+        #: Runs cache misses; its workers live from start() to
+        #: shutdown(), with ``heartbeat_s`` as each spec's deadline.
+        self._executor: Optional[WorkerExecutor] = None
         # Overload control (DESIGN.md §15): deadline-aware admission,
-        # brownout shedding, queue-age expiry, pool circuit breaker.
+        # brownout shedding, queue-age expiry, the workers' breaker.
         self.estimator = ServiceTimeEstimator()
         self.brownout = (BrownoutController.from_env() if brownout is None
                          else brownout)
@@ -423,14 +400,18 @@ class SchedulerDaemon:
             logger.warning("recovered brownout level %d (%s) from journal",
                            self.brownout.level, self.brownout.name)
         if self.table.breaker_state != CircuitBreaker.CLOSED:
-            # The breaker guards *this* process's pool, which is fresh;
-            # journal the reset so replayed state matches reality.
+            # The breaker guards *this* process's workers, which are
+            # fresh; journal the reset so replayed state matches reality.
             self.store.append_meta("breaker", state=CircuitBreaker.CLOSED,
                                    reason="restart-reset")
         self._recover()
         self._commit()
-        if self.use_processes and self._pool is None:
-            self._start_pool()
+        # Fork the workers while still single-threaded: no slot thread
+        # exists yet.
+        self._executor = WorkerExecutor(
+            self.workers if self.use_processes else 0, breaker=self.breaker,
+            deadline_s=self.heartbeat_s)
+        self._executor.start()
         self._beacon_t = None
         self._started = True
         logger.info("daemon started in %s: %d job(s) replayed, %d queued, "
@@ -442,23 +423,6 @@ class SchedulerDaemon:
         count the ``crash-inflight@K`` fault keys on."""
         return sum(1 for job in self.table.jobs.values()
                    if job.state in _DISPATCH_STATES)
-
-    def _start_pool(self) -> None:
-        """Fork the spec-execution pool while still single-threaded.
-
-        The fork start method keeps monkeypatched module state visible
-        to workers and needs no re-import of the package; warming every
-        worker up front means no fork ever happens after slot threads
-        exist.
-        """
-        ctx = multiprocessing.get_context("fork")
-        self._pool = ProcessPoolExecutor(max_workers=self.workers,
-                                         mp_context=ctx)
-        warm = [self._pool.submit(_pool_warmup)
-                for _ in range(self.workers)]
-        for future in warm:
-            future.result()
-        self._pool_procs = list(self._pool._processes.values())
 
     def _acquire_lock(self) -> None:
         """Refuse to run two daemons over one journal.
@@ -683,9 +647,8 @@ class SchedulerDaemon:
         # Deferred acts belong to a tick that never committed; a real
         # crash would have lost them too, and the restart redoes them.
         self._deferred.clear()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        if self._executor is not None:
+            self._executor.close()
         # The FIFO goes before the lock: a daemon restarting here only
         # creates its own once it holds the lock, so this one can never
         # remove it.
@@ -699,7 +662,7 @@ class SchedulerDaemon:
         self._started = False
 
     def emergency_stop(self) -> None:
-        """Kill pool worker processes, nothing else.
+        """Kill the worker processes, nothing else.
 
         ``chimera serve`` calls this before ``os._exit`` on an injected
         crash: the parent models ``kill -9``, and a real SIGKILL of the
@@ -707,15 +670,8 @@ class SchedulerDaemon:
         this, orphaned workers keep the inherited stdio pipes open and
         stall anything capturing the daemon's output.
         """
-        procs = list(self._pool_procs)
-        pool = self._pool
-        if pool is not None:
-            procs.extend(getattr(pool, "_processes", {}).values())
-        for proc in procs:
-            try:
-                proc.kill()
-            except Exception:  # noqa: BLE001 - already-dead processes
-                pass
+        if self._executor is not None:
+            self._executor.close()
 
     # ------------------------------------------------------------------
     # intake
@@ -1229,82 +1185,23 @@ class SchedulerDaemon:
         """Run one spec (through the shared result cache) and summarize.
 
         Cache hits are served in the slot thread (cheap, no pickling).
-        Misses normally go to the process pool; the circuit breaker
-        guards that path — a :class:`BrokenProcessPool` (or an injected
-        ``pool-break``) counts as a breaker failure and the spec falls
-        back to inline execution, so jobs *survive* a sick pool at
-        degraded concurrency instead of failing.
+        Misses go through the executor: to a worker process, killed if
+        the spec outlives ``heartbeat_s``, or inline in this thread when
+        the daemon runs without workers or the breaker is open. A dead
+        worker costs only this spec, which the executor re-runs.
         """
         spec = job.specs[index]
         key = spec.cache_key()
         entry = self.cache.get(key)
         if entry is not None:
-            result, duration = entry.result, entry.duration_s
-            return {"index": index, "spec": spec.describe(), "key": key,
-                    "duration_s": round(duration, 6),
-                    "qos": result_qos(result),
-                    "slo": result_slo(result)}
-        summary: Optional[Dict[str, Any]] = None
-        # Thread-mode daemons have no real pool; an active pool-break
-        # fault still routes misses through the breaker path so the
-        # breaker is exercisable without forked workers.
-        pool_candidate = self.use_processes or faults.has_pool_break()
-        if pool_candidate and self.breaker.allow_pool():
-            try:
-                summary = self._submit_to_pool(spec)
-            except (BrokenProcessPool, faults.InjectedPoolBreak) as exc:
-                opened = self.breaker.record_failure()
-                self._retire_pool()
-                logger.warning(
-                    "worker pool failed executing a spec of %s: %s%s",
-                    job.job_id, exc,
-                    " (circuit opened; degrading to inline execution)"
-                    if opened else "")
-            else:
-                if self.breaker.record_success():
-                    logger.info("breaker probe succeeded; full-slot "
-                                "dispatch restored")
-        if summary is None:
-            result, duration = execute_timed(spec)
-            self.cache.put(key, result, duration)
-            summary = {"duration_s": round(duration, 6),
-                       "qos": result_qos(result),
-                       "slo": result_slo(result)}
+            summary = _summary(entry.result, entry.duration_s)
+        else:
+            # Looked up now, not at import: callers patch this name.
+            summary = self._executor.run(_process_spec, spec,
+                                         str(self.cache.directory),
+                                         self.cache.enabled)
         return {"index": index, "spec": spec.describe(), "key": key,
                 **summary}
-
-    def _submit_to_pool(self, spec: RunSpec) -> Dict[str, Any]:
-        """Execute one spec through the (breaker-guarded) pool path.
-
-        Rebuilds the pool lazily when a half-open probe arrives after a
-        failure retired it. Thread-mode daemons (``use_processes=False``)
-        execute inline here — a surrogate pool that exists so injected
-        ``pool-break`` faults have a submission to break.
-        """
-        faults.inject_pool_break()
-        pool = None
-        if self.use_processes:
-            with self._pool_lock:
-                if self._pool is None and self._started:
-                    self._start_pool()
-                pool = self._pool
-        if pool is None:
-            result, duration = execute_timed(spec)
-            self.cache.put(spec.cache_key(), result, duration)
-            return {"duration_s": round(duration, 6),
-                    "qos": result_qos(result),
-                    "slo": result_slo(result)}
-        future = pool.submit(_process_spec, spec,
-                             str(self.cache.directory),
-                             self.cache.enabled)
-        return future.result()
-
-    def _retire_pool(self) -> None:
-        """Tear down a broken pool; the next half-open probe rebuilds it."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     def _spec_result_path(self, job: Job, index: int) -> Path:
         return self.results_dir / f"{job.job_id}.d" / f"spec-{index}.json"

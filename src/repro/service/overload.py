@@ -2,9 +2,11 @@
 
 The admission queue's capacity bound (PR 7) stops unbounded memory
 growth, but under a sustained burst it still queues jobs whose SLO
-deadlines are already unmeetable, and a sick worker pool is rebuilt
-forever with no escalation. This module adds the three mechanisms the
-daemon composes into a graceful-degradation layer (DESIGN.md §15):
+deadlines are already unmeetable. This module adds two of the three
+mechanisms the daemon composes into a graceful-degradation layer
+(DESIGN.md §15); the third, the circuit breaker around the worker
+processes, is :class:`~repro.harness.executor.CircuitBreaker`, shared
+with the sweep runner:
 
 * :class:`ServiceTimeEstimator` — a rolling per-spec-shape EWMA of
   observed service times, feeding **deadline-aware admission**: a job
@@ -18,12 +20,6 @@ daemon composes into a graceful-degradation layer (DESIGN.md §15):
   level cannot flap tick to tick). Each level sheds and rejects a wider
   band of priority classes; every transition is journaled so a restart
   recovers the exact brownout level.
-* :class:`CircuitBreaker` — around the worker pool: ``K`` pool
-  failures within a window open the circuit (dispatch degrades to a
-  single slot executing inline), a cooldown later one half-open probe
-  is let through the pool, and a probe success restores full
-  concurrency. Failures while half-open re-open the circuit and restart
-  the cooldown.
 
 Environment knobs (all optional; see the README table):
 
@@ -41,29 +37,21 @@ Environment knobs (all optional; see the README table):
   best-effort class (default ``0``)
 * ``CHIMERA_BROWNOUT_CRITICAL``   — priorities ≥ this are the critical
   class (default ``5``); between the two thresholds is "low priority"
-* ``CHIMERA_BREAKER_K``           — pool failures within the window
-  that open the circuit (default ``3``)
-* ``CHIMERA_BREAKER_WINDOW``      — failure-counting window, seconds
-  (default ``30``)
-* ``CHIMERA_BREAKER_COOLDOWN``    — seconds the circuit stays open
-  before a half-open probe (default ``5``)
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
+from repro.env import env_float, env_int
 from repro.errors import ConfigError
 
 __all__ = [
     "BROWNOUT_LEVELS",
     "BrownoutController",
-    "CircuitBreaker",
     "ServiceTimeEstimator",
-    "default_breaker_config",
     "default_brownout_config",
     "default_queue_ttl",
 ]
@@ -74,63 +62,23 @@ BROWNOUT_LEVELS = ("normal", "shed-best-effort", "shed-low-priority",
                    "critical-only")
 
 
-def _env_float(name: str, default: float, minimum: Optional[float] = None,
-               maximum: Optional[float] = None) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be a number, got {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum:g}")
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"{name} must be <= {maximum:g}")
-    return value
-
-
-def _env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from exc
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}")
-    return value
-
-
 def default_queue_ttl() -> float:
     """Queue TTL in seconds from ``CHIMERA_QUEUE_TTL`` (0 disables)."""
-    return _env_float("CHIMERA_QUEUE_TTL", 0.0, minimum=0.0)
+    return env_float("CHIMERA_QUEUE_TTL", 0.0, minimum=0.0)
 
 
 def default_brownout_config() -> Dict[str, float]:
     """Brownout knobs from the ``CHIMERA_BROWNOUT_*`` environment."""
-    config = {
-        "enter_frac": _env_float("CHIMERA_BROWNOUT_ENTER", 0.85,
-                                 minimum=0.0, maximum=1.0),
-        "exit_frac": _env_float("CHIMERA_BROWNOUT_EXIT", 0.5,
-                                minimum=0.0, maximum=1.0),
-        "age_full_s": _env_float("CHIMERA_BROWNOUT_AGE_S", 30.0,
-                                 minimum=0.0),
-        "dwell_s": _env_float("CHIMERA_BROWNOUT_DWELL_S", 1.0, minimum=0.0),
-        "best_effort_max": _env_int("CHIMERA_BROWNOUT_BEST_EFFORT", 0),
-        "critical_min": _env_int("CHIMERA_BROWNOUT_CRITICAL", 5),
-    }
-    return config
-
-
-def default_breaker_config() -> Dict[str, float]:
-    """Circuit-breaker knobs from the ``CHIMERA_BREAKER_*`` environment."""
     return {
-        "k": _env_int("CHIMERA_BREAKER_K", 3, minimum=1),
-        "window_s": _env_float("CHIMERA_BREAKER_WINDOW", 30.0, minimum=0.0),
-        "cooldown_s": _env_float("CHIMERA_BREAKER_COOLDOWN", 5.0,
-                                 minimum=0.0),
+        "enter_frac": env_float("CHIMERA_BROWNOUT_ENTER", 0.85,
+                                minimum=0.0, maximum=1.0),
+        "exit_frac": env_float("CHIMERA_BROWNOUT_EXIT", 0.5,
+                               minimum=0.0, maximum=1.0),
+        "age_full_s": env_float("CHIMERA_BROWNOUT_AGE_S", 30.0,
+                                minimum=0.0),
+        "dwell_s": env_float("CHIMERA_BROWNOUT_DWELL_S", 1.0, minimum=0.0),
+        "best_effort_max": env_int("CHIMERA_BROWNOUT_BEST_EFFORT", 0),
+        "critical_min": env_int("CHIMERA_BROWNOUT_CRITICAL", 5),
     }
 
 
@@ -333,136 +281,3 @@ class BrownoutController:
         """Beacon/status form."""
         return {"level": self.level, "name": self.name,
                 "pressure": round(self.pressure, 4)}
-
-
-# ----------------------------------------------------------------------
-# worker-pool circuit breaker
-# ----------------------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Classic three-state breaker around the daemon's worker pool.
-
-    * **closed** — the pool serves spec execution; failures within
-      ``window_s`` are counted, and the ``k``-th opens the circuit.
-    * **open** — nothing reaches the pool; the daemon executes inline
-      on a single slot. After ``cooldown_s`` the next
-      :meth:`allow_pool` caller becomes the half-open probe.
-    * **half-open** — exactly one in-flight probe; success closes the
-      circuit (full concurrency restored), failure re-opens it and
-      restarts the cooldown.
-
-    Thread-safe; slot threads race on :meth:`allow_pool` and only one
-    wins the probe token.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(self, k: int = 3, window_s: float = 30.0,
-                 cooldown_s: float = 5.0,
-                 clock: Callable[[], float] = time.monotonic):
-        if k < 1:
-            raise ConfigError("breaker K must be >= 1")
-        if window_s < 0 or cooldown_s < 0:
-            raise ConfigError("breaker window/cooldown must be >= 0")
-        self.k = k
-        self.window_s = window_s
-        self.cooldown_s = cooldown_s
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._failures: List[float] = []
-        self._state = self.CLOSED
-        self._opened_at = 0.0
-        self._probing = False
-        #: Times the circuit has opened (observability + tests).
-        self.trips = 0
-        #: Half-open probes attempted.
-        self.probes = 0
-
-    @classmethod
-    def from_env(cls, clock: Callable[[], float] = time.monotonic
-                 ) -> "CircuitBreaker":
-        config = default_breaker_config()
-        return cls(k=int(config["k"]), window_s=config["window_s"],
-                   cooldown_s=config["cooldown_s"], clock=clock)
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    def allow_pool(self) -> bool:
-        """May this caller submit to the pool right now?
-
-        While open, flips to half-open once the cooldown has elapsed
-        and grants the pool to exactly one caller (the probe); every
-        other caller is told to execute inline.
-        """
-        with self._lock:
-            if self._state == self.CLOSED:
-                return True
-            now = self._clock()
-            if self._state == self.OPEN:
-                if now - self._opened_at < self.cooldown_s:
-                    return False
-                self._state = self.HALF_OPEN
-                self._probing = True
-                self.probes += 1
-                return True
-            # Half-open: at most one probe in flight.
-            if self._probing:
-                return False
-            self._probing = True
-            self.probes += 1
-            return True
-
-    def record_success(self) -> bool:
-        """A pool submission succeeded; True if this closed the circuit."""
-        with self._lock:
-            self._probing = False
-            if self._state == self.HALF_OPEN:
-                self._state = self.CLOSED
-                self._failures.clear()
-                return True
-            return False
-
-    def record_failure(self) -> bool:
-        """A pool submission failed; True if this opened the circuit."""
-        now = self._clock()
-        with self._lock:
-            self._probing = False
-            if self._state == self.HALF_OPEN:
-                self._state = self.OPEN
-                self._opened_at = now
-                self.trips += 1
-                return True
-            if self._state == self.OPEN:
-                self._opened_at = now
-                return False
-            self._failures.append(now)
-            if self.window_s > 0:
-                cutoff = now - self.window_s
-                self._failures = [t for t in self._failures if t >= cutoff]
-            if len(self._failures) >= self.k:
-                self._state = self.OPEN
-                self._opened_at = now
-                self.trips += 1
-                self._failures.clear()
-                return True
-            return False
-
-    def failures_in_window(self) -> int:
-        with self._lock:
-            if self.window_s > 0:
-                cutoff = self._clock() - self.window_s
-                return sum(1 for t in self._failures if t >= cutoff)
-            return len(self._failures)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Beacon/status form."""
-        with self._lock:
-            return {"state": self._state, "trips": self.trips,
-                    "probes": self.probes,
-                    "failures_in_window": len(self._failures)}

@@ -48,6 +48,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.env import env_float, env_int
 from repro.errors import ConfigError
 from repro.workloads.specs import KernelMix, mix as mix_by_name, mix_names
 
@@ -74,18 +75,8 @@ DEFAULT_WINDOW_US = 10_000.0
 
 def default_max_arrivals() -> int:
     """Stream-size safety cap from ``CHIMERA_TRAFFIC_MAX_ARRIVALS``."""
-    raw = os.environ.get("CHIMERA_TRAFFIC_MAX_ARRIVALS", "").strip()
-    if not raw:
-        return DEFAULT_MAX_ARRIVALS
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_TRAFFIC_MAX_ARRIVALS must be an integer, got {raw!r}"
-        ) from exc
-    if cap < 1:
-        raise ConfigError("CHIMERA_TRAFFIC_MAX_ARRIVALS must be >= 1")
-    return cap
+    return env_int("CHIMERA_TRAFFIC_MAX_ARRIVALS", DEFAULT_MAX_ARRIVALS,
+                   minimum=1)
 
 
 def default_mix_name() -> str:
@@ -102,18 +93,8 @@ def default_mix_name() -> str:
 
 def default_window_us() -> float:
     """Sliding-window width from ``CHIMERA_TRAFFIC_WINDOW_US``."""
-    raw = os.environ.get("CHIMERA_TRAFFIC_WINDOW_US", "").strip()
-    if not raw:
-        return DEFAULT_WINDOW_US
-    try:
-        window = float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"CHIMERA_TRAFFIC_WINDOW_US must be a number, got {raw!r}"
-        ) from exc
-    if window <= 0:
-        raise ConfigError("CHIMERA_TRAFFIC_WINDOW_US must be > 0")
-    return window
+    return env_float("CHIMERA_TRAFFIC_WINDOW_US", DEFAULT_WINDOW_US,
+                     above=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ flight.
 
 Thread-mode slots (``use_processes=False``) keep the monkeypatched
 executor visible to workers; one test at the bottom exercises the real
-forked process pool end to end.
+forked worker processes end to end.
 """
 
 from __future__ import annotations
@@ -522,7 +522,7 @@ class TestProcessPool:
         try:
             assert daemon.use_processes
             daemon.run_until_idle(timeout_s=180.0)
-            assert daemon._pool is not None
+            assert len(daemon._executor._workers) == 2
         finally:
             daemon.shutdown()
         st = client.status()

@@ -6,12 +6,13 @@ Acceptance paths covered here:
 * a spec that fails on its first attempt succeeds on retry;
 * a hung spec is timed out and reported as ``SpecFailure`` without
   aborting the sweep;
-* a ``BrokenProcessPool`` mid-sweep degrades to serial execution and
-  still returns every result;
+* a crashed worker costs only its own spec, requeued at the same
+  attempt; repeated crashes open the circuit breaker, the sweep
+  finishes inline, and a half-open probe later restores the workers;
 * after a sweep where spec k of n fails permanently, the other n-1
   results are in the on-disk cache and a re-run executes only spec k;
-* parallel results stay bit-identical to serial under retries and pool
-  rebuilds.
+* parallel results stay bit-identical to serial under retries and
+  worker crashes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import pytest
 from repro.errors import ConfigError, SweepError
 from repro.harness import faults
 from repro.harness.cache import ResultCache
+from repro.harness.executor import CircuitBreaker
 from repro.harness.sweep import (
     RunSpec,
     SpecFailure,
@@ -278,7 +280,7 @@ class TestTimeout:
         assert failure.kind == "timeout"
         assert runner.last_stats.timeouts == 1
         assert runner.last_stats.failed == 1
-        # the innocent survivors that shared the killed pool still ran
+        # the siblings ran on their own workers, untouched by the kill
         _assert_identical(results[1:], reference[1:])
 
     def test_hang_then_succeed_is_retried(self, tmp_path, reference):
@@ -297,7 +299,7 @@ class TestTimeout:
         # Regression: a one-spec batch used to take the serial shortcut
         # even with jobs>1, silently disabling the timeout for e.g. the
         # CLI's single-spec `periodic` command. With a timeout set it
-        # must go through the pool so a hung worker can be killed.
+        # must go to a worker so a hung spec can be killed.
         with faults.injected("hang@0:inf"):
             runner = _runner(tmp_path, jobs=2, timeout=1.0, max_retries=0,
                              strict=False)
@@ -307,33 +309,62 @@ class TestTimeout:
         assert runner.last_stats.timeouts == 1
 
 
+class FakeClock:
+    def __init__(self) -> None:
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        return self.t
+
+
 class TestBrokenPool:
     def test_crash_degrades_to_serial_and_completes(self, tmp_path,
                                                     reference):
-        # crash@0:inf kills the worker on every pool attempt; after
-        # max_pool_rebuilds the runner degrades to serial in-process
-        # execution, where crash faults are inert, and every result
-        # still comes back bit-identical to the clean serial reference.
+        # crash@0:inf kills spec 0's worker on every worker attempt.
+        # Each death requeues it at the same attempt (no retry spent);
+        # the second opens the K=2 breaker, spec 0 then runs inline,
+        # where crash faults are inert, and every result still comes
+        # back bit-identical to the clean serial reference.
         with faults.injected("crash@0:inf"):
             runner = _runner(tmp_path, jobs=2, max_retries=1,
-                             max_pool_rebuilds=1)
+                             breaker=CircuitBreaker(k=2))
             results = runner.run(_specs())
-        assert runner.last_stats.pool_rebuilds >= 1
+        assert runner.last_stats.worker_deaths == 2
+        assert runner.last_stats.retries == 0
         assert runner.last_stats.degraded
         assert runner.last_stats.failed == 0
         _assert_identical(results, reference)
 
     def test_degraded_runner_stays_serial(self, tmp_path):
+        # While the circuit is open, later batches on the same runner
+        # run inline too; once the cooldown passes, a half-open probe on
+        # a worker closes it again.
+        clock = FakeClock()
+        breaker = CircuitBreaker(k=1, cooldown_s=5.0, clock=clock)
         with faults.injected("crash@0:inf"):
             runner = _runner(tmp_path, jobs=2, max_retries=1,
-                             max_pool_rebuilds=0)
+                             breaker=breaker)
             runner.run(_specs())
+            assert runner.last_stats.degraded
+            assert breaker.state == CircuitBreaker.OPEN
+            more = [RunSpec.periodic("BS", "drain", periods=PERIODS, seed=s)
+                    for s in (98, 99)]
+            results = runner.run(more)
         assert runner.last_stats.degraded
-        # a later batch on the same runner reuses serial mode silently
-        more = [RunSpec.periodic("BS", "drain", periods=PERIODS, seed=99)]
-        results = runner.run(more)
-        assert runner.last_stats.degraded
-        assert not isinstance(results[0], SpecFailure)
+        assert runner.last_stats.worker_deaths == 0
+        assert not any(isinstance(r, SpecFailure) for r in results)
+        # Past the cooldown one spec probes a worker (its sibling still
+        # runs inline while the probe is out); the probe closes the
+        # circuit, and the next batch runs on workers throughout.
+        clock.t += 6.0
+        for label in ("HS", "KM"):
+            later = [RunSpec.periodic(label, "drain", periods=PERIODS,
+                                      seed=s) for s in (98, 99)]
+            results = runner.run(later)
+            assert not any(isinstance(r, SpecFailure) for r in results)
+            assert breaker.state == CircuitBreaker.CLOSED
+        assert breaker.probes == 1
+        assert not runner.last_stats.degraded
 
 
 class TestCorruptionFault:

@@ -62,10 +62,8 @@ from repro.service import (
     is_terminal,
     reconcile_qos,
 )
-from repro.service.overload import (
-    default_breaker_config,
-    default_brownout_config,
-)
+from repro.harness.executor import default_breaker_config
+from repro.service.overload import default_brownout_config
 from repro.service.state import TRANSITIONS, validate_transition
 from repro.service.store import spec_to_dict
 
@@ -565,7 +563,6 @@ class TestOverloadFaults:
 
     def test_pool_break_counts_submissions(self):
         faults.install("pool-break@1")
-        assert faults.has_pool_break()
         faults.inject_pool_break()  # submission 0: unfaulted
         with pytest.raises(faults.InjectedPoolBreak) as excinfo:
             faults.inject_pool_break()  # submission 1 fires
@@ -573,10 +570,8 @@ class TestOverloadFaults:
         faults.inject_pool_break()  # submission 2: past the fault
 
     def test_pool_break_noop_without_plan(self):
-        assert not faults.has_pool_break()
         faults.inject_pool_break()  # must not raise or count
         faults.install("fail@0")
-        assert not faults.has_pool_break()
         faults.inject_pool_break()
 
 
@@ -862,12 +857,15 @@ class TestBrownoutDaemon:
 
 
 # ----------------------------------------------------------------------
-# daemon: circuit breaker around the worker pool
+# daemon: circuit breaker around the worker processes
 # ----------------------------------------------------------------------
 
 
 class TestCircuitBreakerDaemon:
     def test_open_degrade_probe_restore(self, tmp_path, monkeypatch):
+        # Real forked workers: the fake executor is patched in before
+        # start() forks them, and gate.set() below reaches only specs
+        # that run inline, in this process.
         clk = FakeClock()
         breaker = CircuitBreaker(k=2, window_s=60.0, cooldown_s=5.0,
                                  clock=clk)
@@ -875,10 +873,11 @@ class TestCircuitBreakerDaemon:
         gate.set()
         daemon = _daemon(tmp_path, monkeypatch,
                          _fake_executor(block_on=gate), workers=2,
-                         use_processes=False, breaker=breaker)
+                         breaker=breaker)
         client = ServiceClient(tmp_path / "svc")
-        # Break the first two pool submissions; the third (the probe)
-        # goes through clean.
+        # Break the first two worker submissions (both are the victim's
+        # first spec, requeued at the same attempt); the third (the
+        # probe) goes to a worker clean.
         faults.install("pool-break@0,pool-break@1")
         daemon.start()
         try:
@@ -888,10 +887,10 @@ class TestCircuitBreakerDaemon:
                 daemon,
                 lambda: _job_state(daemon, "victim")
                 is JobState.COMPLETED,
-                "the job to survive the broken pool")
-            # Both specs' pool submissions broke -> circuit open, but
-            # the job completed inline: a sick pool degrades, it does
-            # not fail work.
+                "the job to survive the lost workers")
+            # Two lost workers -> circuit open, but the job completed
+            # inline: sick workers degrade execution, they do not fail
+            # work.
             assert breaker.state == CircuitBreaker.OPEN
             assert breaker.trips == 1
             _tick_until(daemon,
@@ -919,7 +918,8 @@ class TestCircuitBreakerDaemon:
             assert breaker.state == CircuitBreaker.OPEN
 
             # Cooldown elapses: the next spec execution is the half-open
-            # probe; it succeeds and full-slot dispatch is restored.
+            # probe, on a worker; it succeeds and full-slot dispatch is
+            # restored.
             clk.advance(6.0)
             client.submit([_spec(seed=74)], job_id="probe")
             _tick_until(

@@ -516,6 +516,9 @@ class TestDaemonLifecycle:
         _tick_until(daemon, lambda: daemon.running is not None,
                     "long to dispatch")
         client.drain()
+        # Let a tick see the drain file before spec 0 finishes: once the
+        # gate opens, spec 1 would otherwise race the first tick.
+        daemon.tick()
         gate.set()
         daemon.serve(idle_exit_s=0.0)  # exits once the drain completes
         assert client.job_state("long") == "preempted"

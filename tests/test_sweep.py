@@ -15,6 +15,7 @@ import pytest
 from repro.gpu.config import GPUConfig
 from repro.harness import faults
 from repro.harness.cache import CacheEntry, ResultCache
+from repro.harness.executor import CircuitBreaker
 from repro.harness.experiments import figure6_7
 from repro.harness.runner import run_periodic
 from repro.harness.sweep import RunSpec, SweepRunner, default_jobs
@@ -96,15 +97,15 @@ class TestParallelEqualsSerial:
     def test_fault_injected_parallel_matches_clean_serial(self, tmp_path):
         """Bit-identity survives the failure machinery: a parallel sweep
         where every spec flakes once (forcing a retry of each) and one
-        spec crashes its worker (forcing pool rebuilds and eventual
-        serial degradation) still equals the clean serial sweep."""
+        spec crashes its worker (opening the circuit breaker, so the
+        rest run inline) still equals the clean serial sweep."""
         kwargs = dict(labels=LABELS, policies=("drain", "flush"),
                       periods=PERIODS, seed=11)
         serial = figure6_7(runner=_runner(tmp_path, jobs=1, subdir="s"),
                            **kwargs)
         runner = SweepRunner(jobs=4, cache=ResultCache(tmp_path / "p"),
                              max_retries=2, retry_backoff=0.0,
-                             max_pool_rebuilds=1)
+                             breaker=CircuitBreaker(k=1))
         try:
             with faults.injected("fail@*,crash@2:inf"):
                 parallel = figure6_7(runner=runner, **kwargs)
@@ -112,7 +113,7 @@ class TestParallelEqualsSerial:
             faults.clear()
         stats = runner.last_stats
         assert stats.retries >= 1 and stats.failed == 0
-        assert stats.pool_rebuilds >= 1 and stats.degraded
+        assert stats.worker_deaths >= 1 and stats.degraded
         assert set(serial.results) == set(parallel.results)
         for label in serial.results:
             for policy, s in serial.results[label].items():
@@ -453,32 +454,7 @@ def _raise_permission(*args, **kwargs):
 
 
 class TestSweepScaling:
-    """Chunked submission and detached worker groups."""
-
-    def test_chunked_run_equals_unchunked(self, tmp_path):
-        specs = [RunSpec.periodic(label, "drain", periods=PERIODS, seed=2)
-                 for label in LABELS]
-        plain = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "a"),
-                            chunk_size=0).run(specs)
-        chunked_runner = SweepRunner(jobs=2,
-                                     cache=ResultCache(tmp_path / "b"),
-                                     chunk_size=1)
-        chunked = chunked_runner.run(specs)
-        assert chunked_runner.last_stats.chunks == len(LABELS)
-        for a, b in zip(plain, chunked):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
-
-    def test_chunk_size_env_parsing(self, monkeypatch):
-        from repro.errors import ConfigError
-        from repro.harness.sweep import default_chunk_size
-        monkeypatch.setenv("CHIMERA_SWEEP_CHUNK", "128")
-        assert default_chunk_size() == 128
-        monkeypatch.setenv("CHIMERA_SWEEP_CHUNK", "-1")
-        with pytest.raises(ConfigError):
-            default_chunk_size()
-        monkeypatch.setenv("CHIMERA_SWEEP_CHUNK", "lots")
-        with pytest.raises(ConfigError):
-            default_chunk_size()
+    """Detached worker groups."""
 
     def test_worker_group_env_parsing(self, monkeypatch):
         from repro.errors import ConfigError
