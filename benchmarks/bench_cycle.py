@@ -23,12 +23,11 @@ Scale knobs:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import Callable, Dict, Optional
 
-from benchmarks.conftest import RESULTS_DIR
+from benchmarks.conftest import RESULTS_DIR, record_bench
 from repro.functional.gpusim import CycleGPU
 from repro.functional.machine import GlobalMemory
 from repro.functional.warpsim import SchedulerKind
@@ -84,21 +83,6 @@ def _chase_init(n: int) -> Dict[str, list]:
     return {"next": [(i * 7 + 1) % n for i in range(n)]}
 
 
-def _read_results() -> Dict[str, dict]:
-    try:
-        return json.loads(BENCH_PATH.read_text())
-    except (FileNotFoundError, ValueError):
-        return {}
-
-
-def _record(name: str, entry: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    results = _read_results()
-    results[name] = entry
-    results["_meta"] = {"quick": QUICK, "tpb": TPB}
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
-
-
 def _drive(gpu: CycleGPU, flush_schedule: Optional[list] = None) -> list:
     """Run ``gpu`` to completion, optionally poking try_flush along the
     way; returns the flush grant/deny decisions (part of bit-identity).
@@ -139,7 +123,7 @@ def _bench(name: str, make_gpu: Callable[[bool], CycleGPU],
     assert fast["decisions"] == lock["decisions"], name
     assert fast["history"] == lock["history"], name
     speedup = lock["wall_s"] / max(fast["wall_s"], 1e-9)
-    _record(name, {
+    record_bench(BENCH_PATH, name, {
         "cycles": fast["cycles"],
         "instructions": fast["result"].total_instructions,
         "fast_wall_s": round(fast["wall_s"], 4),
@@ -148,7 +132,7 @@ def _bench(name: str, make_gpu: Callable[[bool], CycleGPU],
         "lockstep_cycles_per_s": round(
             lock["cycles"] / max(lock["wall_s"], 1e-9)),
         "speedup": round(speedup, 2),
-    })
+    }, QUICK, tpb=TPB)
     return speedup
 
 

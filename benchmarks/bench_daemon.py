@@ -11,7 +11,7 @@ Every worker count gets its own service directory *and* its own result
 cache: the point is raw execution scaling, not cache replay.
 
 Results land in ``benchmarks/results/BENCH_daemon.json`` with the host
-``cpu_count`` stamped in — on a single-core runner the honest speedup
+``cpu_count`` in ``_meta`` — on a single-core runner the honest speedup
 is ~1.0x, which is why the floor only arms when the environment asks
 for it.
 
@@ -25,11 +25,10 @@ Scale knobs:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from benchmarks.conftest import RESULTS_DIR, once
+from benchmarks.conftest import RESULTS_DIR, once, record_bench
 from repro.harness.cache import ResultCache
 from repro.harness.sweep import RunSpec
 from repro.service import (
@@ -50,21 +49,6 @@ QUICK = bool(os.environ.get("CHIMERA_BENCH_DAEMON_QUICK", "").strip())
 BATCH = (4, 2, 2) if QUICK else (8, 3, 2)
 
 WORKER_COUNTS = (1, 2, 4)
-
-
-def _read_results() -> dict:
-    try:
-        return json.loads(BENCH_PATH.read_text())
-    except (FileNotFoundError, ValueError):
-        return {}
-
-
-def _record(name: str, entry: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    results = _read_results()
-    results[name] = entry
-    results["_meta"] = {"quick": QUICK}
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def _batch_specs():
@@ -118,9 +102,8 @@ def test_drain_scaling(benchmark, tmp_path):
         "jobs": jobs,
         "specs_per_job": per_job,
         "periods": periods,
-        "cpu_count": os.cpu_count(),
     }
-    _record("drain_scaling", entry)
+    record_bench(BENCH_PATH, "drain_scaling", entry, QUICK)
     floor = os.environ.get("CHIMERA_DAEMON_FAIL_BELOW", "").strip()
     if floor:
         assert entry["speedup_2w"] >= float(floor), (

@@ -20,10 +20,9 @@ Scale knob:
 
 from __future__ import annotations
 
-import json
 import os
 
-from benchmarks.conftest import RESULTS_DIR, once
+from benchmarks.conftest import RESULTS_DIR, once, record_bench
 from repro.harness import sweep as sweep_mod
 from repro.harness.cache import ResultCache
 from repro.harness.sweep import RunSpec, SweepRunner
@@ -32,21 +31,6 @@ from repro.workloads.specs import benchmark_labels
 BENCH_PATH = RESULTS_DIR / "BENCH_fluid.json"
 
 QUICK = bool(os.environ.get("CHIMERA_BENCH_FLUID_QUICK", "").strip())
-
-
-def _read_results() -> dict:
-    try:
-        return json.loads(BENCH_PATH.read_text())
-    except (FileNotFoundError, ValueError):
-        return {}
-
-
-def _record(name: str, entry: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    results = _read_results()
-    results[name] = entry
-    results["_meta"] = {"quick": QUICK, "cpu_count": os.cpu_count()}
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def test_sweep_throughput(benchmark, tmp_path, monkeypatch):
@@ -95,10 +79,10 @@ def test_sweep_throughput(benchmark, tmp_path, monkeypatch):
     sharded = list(cache_dir.glob("*/*.pkl"))
     assert len(sharded) == n
     assert all(p.parent.name == p.stem[:2] for p in sharded)
-    _record("sweep_throughput", {
+    record_bench(BENCH_PATH, "sweep_throughput", {
         "specs": n,
         "cold_wall_s": round(run["cold_wall_s"], 4),
         "warm_wall_s": round(run["warm_wall_s"], 4),
         "cold_specs_per_s": round(n / max(run["cold_wall_s"], 1e-9)),
         "warm_specs_per_s": round(n / max(run["warm_wall_s"], 1e-9)),
-    })
+    }, QUICK)

@@ -23,11 +23,10 @@ Scale knobs:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from benchmarks.conftest import RESULTS_DIR, once
+from benchmarks.conftest import RESULTS_DIR, once, record_bench
 from repro.harness.cache import ResultCache
 from repro.harness.sweep import RunSpec
 from repro.service import (
@@ -51,21 +50,6 @@ CONTROL_OPS = 2_000 if QUICK else 50_000
 #: (critical jobs, best-effort jobs) in the burst; capacity admits the
 #: whole burst so the brownout — not the queue bound — does the shedding.
 BURST = (3, 6) if QUICK else (6, 12)
-
-
-def _read_results() -> dict:
-    try:
-        return json.loads(BENCH_PATH.read_text())
-    except (FileNotFoundError, ValueError):
-        return {}
-
-
-def _record(name: str, entry: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    results = _read_results()
-    results[name] = entry
-    results["_meta"] = {"quick": QUICK}
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def _control_plane_wall() -> float:
@@ -93,7 +77,7 @@ def test_control_plane_ops(benchmark):
         "wall_s": round(wall, 4),
         "ops_per_s": round(ops_per_s, 1),
     }
-    _record("control_plane", entry)
+    record_bench(BENCH_PATH, "control_plane", entry, QUICK)
     floor = os.environ.get("CHIMERA_OVERLOAD_FAIL_BELOW", "").strip()
     if floor:
         assert ops_per_s >= float(floor), (
@@ -146,4 +130,4 @@ def _shed_drain(tmp_path) -> dict:
 def test_shed_drain(benchmark, tmp_path):
     out = once(benchmark, lambda: _shed_drain(tmp_path))
     out["wall_s"] = round(out["wall_s"], 4)
-    _record("shed_drain", out)
+    record_bench(BENCH_PATH, "shed_drain", out, QUICK)

@@ -22,11 +22,10 @@ Scale knobs:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from benchmarks.conftest import RESULTS_DIR, once
+from benchmarks.conftest import RESULTS_DIR, once, record_bench
 from repro.gpu.config import GPUConfig
 from repro.harness.scenario import ScenarioSpec, run_traffic
 from repro.workloads.traffic import ArrivalSpec, TenantSpec
@@ -50,21 +49,6 @@ TENANTS = (
                arrival=ArrivalSpec(kind="bursty", rate_per_s=1_000.0,
                                    burst_factor=6.0)),
 )
-
-
-def _read_results() -> dict:
-    try:
-        return json.loads(BENCH_PATH.read_text())
-    except (FileNotFoundError, ValueError):
-        return {}
-
-
-def _record(name: str, entry: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    results = _read_results()
-    results[name] = entry
-    results["_meta"] = {"quick": QUICK, "cpu_count": os.cpu_count()}
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
 
 
 def test_serving_throughput(benchmark):
@@ -99,11 +83,11 @@ def test_serving_throughput(benchmark):
         return entry
 
     entry = once(benchmark, drive)
-    _record("serving_throughput", {
+    record_bench(BENCH_PATH, "serving_throughput", {
         "horizon_us": HORIZON_US,
         "tenants": [t.name for t in TENANTS],
         **entry,
-    })
+    }, QUICK)
     floor = os.environ.get("CHIMERA_TRAFFIC_FAIL_BELOW", "").strip()
     if floor:
         attainment = entry["chimera"]["attainment"]

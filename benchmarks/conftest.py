@@ -64,6 +64,27 @@ def write_result(name: str, text: str) -> None:
     print("\n" + text)
 
 
+def _update_json(path: pathlib.Path, entries: dict) -> None:
+    """Merge ``entries`` into the JSON object at ``path`` (a missing or
+    unreadable file starts empty) and rewrite it with sorted keys."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    try:
+        results = json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):
+        results = {}
+    results.update(entries)
+    path.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+
+
+def record_bench(path: pathlib.Path, name: str, entry: dict, quick: bool,
+                 **meta) -> None:
+    """Store ``entry`` as scenario ``name`` of the BENCH record at
+    ``path``, keeping its other scenarios, and stamp the record's
+    ``_meta`` with ``quick``, the host's ``cpu_count`` and ``meta``."""
+    _update_json(path, {name: entry, "_meta": {
+        "quick": quick, "cpu_count": os.cpu_count(), **meta}})
+
+
 def record_timing(name: str, wall_s: float, stats) -> None:
     """Append one sweep's timing record to ``results/timings.json``.
 
@@ -71,16 +92,10 @@ def record_timing(name: str, wall_s: float, stats) -> None:
     :class:`~repro.harness.sweep.SweepStats` whose ``serial_equiv_s`` is
     what a one-worker, cold-cache sweep would have cost.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    try:
-        timings = json.loads(TIMINGS_PATH.read_text())
-    except (FileNotFoundError, ValueError):
-        timings = {}
     record = stats.as_dict()
     record["wall_s"] = round(wall_s, 4)
     record["cpu_count"] = os.cpu_count()
-    timings[name] = record
-    TIMINGS_PATH.write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n")
+    _update_json(TIMINGS_PATH, {name: record})
 
 
 @pytest.fixture(scope="session")

@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="post-horizon drain window in microseconds")
     traffic.add_argument("--window-us", type=_nonnegative_float, default=None,
                          help="sliding-window width for windowed ANTT/STP "
-                              "(default: CHIMERA_TRAFFIC_WINDOW_US or 10000)")
+                              "(default: 10000)")
     traffic.add_argument("--target-kernel-us", type=_nonnegative_float,
                          default=150.0,
                          help="standalone duration of one arrival's kernel")
@@ -162,18 +162,17 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the crash-safe scheduling daemon")
     _add_service_dir(serve)
     serve.add_argument("--capacity", type=_positive_int, default=None,
-                       help="admission queue bound "
-                            "(default: CHIMERA_SERVICE_CAPACITY or 64)")
+                       help="admission queue bound (default: 64)")
     serve.add_argument("--heartbeat", type=_nonnegative_float, default=None,
                        metavar="S",
                        help="worker heartbeat watchdog timeout, also "
                             "each spec's deadline on a worker process "
-                            "(default: CHIMERA_HEARTBEAT or 30)")
+                            "(default: 30)")
     serve.add_argument("--workers", type=_positive_int, default=None,
                        metavar="N",
-                       help="concurrent execution slots (default: "
-                            "CHIMERA_SERVICE_WORKERS or cpu count); >1 "
-                            "runs specs in forked worker processes")
+                       help="concurrent execution slots (default: cpu "
+                            "count); >1 runs specs in forked worker "
+                            "processes")
     serve.add_argument("--poll", type=_nonnegative_float, default=0.05,
                        metavar="S",
                        help="longest sleep between ticks when nothing "
@@ -186,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-ttl", type=_nonnegative_float, default=None,
                        metavar="S",
                        help="expire jobs queued longer than this to "
-                            "timed-out (default: CHIMERA_QUEUE_TTL or "
-                            "0 = never)")
+                            "timed-out (default: 0 = never)")
 
     submit = sub.add_parser(
         "submit", help="submit a job (a batch of runs) to the daemon")

@@ -22,15 +22,6 @@ Workers are forked from an explicit ``fork`` context, so a module
 attribute patched before :meth:`WorkerExecutor.start` is what they run,
 and a task function pickles by its module and name: callers pass the
 function as looked up on its module when they submit.
-
-Environment knobs (circuit breaker; see the README table):
-
-* ``CHIMERA_BREAKER_K``        — worker failures within the window that
-  open the circuit (default ``3``)
-* ``CHIMERA_BREAKER_WINDOW``   — failure-counting window, seconds
-  (default ``30``)
-* ``CHIMERA_BREAKER_COOLDOWN`` — seconds the circuit stays open before
-  a half-open probe (default ``5``)
 """
 
 from __future__ import annotations
@@ -58,28 +49,12 @@ from typing import (
     Tuple,
 )
 
-from repro.env import env_float, env_int
 from repro.errors import ConfigError, ReproError
 from repro.harness import faults
 
 logger = logging.getLogger("repro.harness.executor")
 
-__all__ = [
-    "CircuitBreaker",
-    "TaskFailure",
-    "WorkerExecutor",
-    "default_breaker_config",
-]
-
-
-def default_breaker_config() -> Dict[str, float]:
-    """Circuit-breaker knobs from the ``CHIMERA_BREAKER_*`` environment."""
-    return {
-        "k": env_int("CHIMERA_BREAKER_K", 3, minimum=1),
-        "window_s": env_float("CHIMERA_BREAKER_WINDOW", 30.0, minimum=0.0),
-        "cooldown_s": env_float("CHIMERA_BREAKER_COOLDOWN", 5.0,
-                                minimum=0.0),
-    }
+__all__ = ["CircuitBreaker", "TaskFailure", "WorkerExecutor"]
 
 
 class CircuitBreaker:
@@ -94,8 +69,9 @@ class CircuitBreaker:
       circuit (full concurrency restored), failure re-opens it and
       restarts the cooldown.
 
-    Thread-safe; slot threads race on :meth:`allow_pool` and only one
-    wins the probe token.
+    The defaults open the circuit at the 3rd lost worker within 30 s
+    and probe 5 s later. Thread-safe; slot threads race on
+    :meth:`allow_pool` and only one wins the probe token.
     """
 
     CLOSED = "closed"
@@ -122,13 +98,6 @@ class CircuitBreaker:
         self.trips = 0
         #: Half-open probes attempted.
         self.probes = 0
-
-    @classmethod
-    def from_env(cls, clock: Callable[[], float] = time.monotonic
-                 ) -> "CircuitBreaker":
-        config = default_breaker_config()
-        return cls(k=int(config["k"]), window_s=config["window_s"],
-                   cooldown_s=config["cooldown_s"], clock=clock)
 
     @property
     def state(self) -> str:
@@ -288,8 +257,7 @@ class WorkerExecutor:
         if workers < 0:
             raise ConfigError("workers must be >= 0")
         self.workers = workers
-        self.breaker = CircuitBreaker.from_env() if breaker is None \
-            else breaker
+        self.breaker = CircuitBreaker() if breaker is None else breaker
         self.deadline_s = deadline_s or None
         self.max_retries = max_retries
         self.retry_backoff = retry_backoff

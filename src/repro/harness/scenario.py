@@ -65,8 +65,8 @@ class ScenarioSpec:
     horizon_us: float = 100_000.0
     #: Extra drain time after the last possible arrival, us.
     drain_us: float = DEFAULT_DRAIN_US
-    #: Sliding-window width for windowed ANTT/STP; None: the
-    #: CHIMERA_TRAFFIC_WINDOW_US default at execution time.
+    #: Sliding-window width for windowed ANTT/STP; None:
+    #: ``DEFAULT_WINDOW_US``.
     window_us: Optional[float] = None
 
     def __post_init__(self) -> None:

@@ -47,8 +47,6 @@ Environment knobs:
   attempt (default ``0.1``)
 * ``CHIMERA_KEEP_GOING``    — any non-empty value makes runners
   non-strict by default
-* ``CHIMERA_BREAKER_*``     — the circuit breaker; see
-  :mod:`repro.harness.executor`
 * ``CHIMERA_FAULTS``        — deterministic fault injection; see
   :mod:`repro.harness.faults`
 * ``CHIMERA_CACHE_DIR`` / ``CHIMERA_NO_CACHE`` — see
@@ -527,8 +525,7 @@ class SweepRunner:
             raise ConfigError("retry_backoff must be >= 0")
         self.strict = default_strict() if strict is None else strict
         #: Counts worker crashes across this runner's run() calls.
-        self.breaker = CircuitBreaker.from_env() if breaker is None \
-            else breaker
+        self.breaker = CircuitBreaker() if breaker is None else breaker
         self.worker_group = default_worker_group() if worker_group is None \
             else worker_group
         if self.worker_group is not None:

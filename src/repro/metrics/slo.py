@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.metrics.metrics import antt, percentile, stp
+from repro.workloads.traffic import DEFAULT_WINDOW_US
 
 __all__ = ["ArrivalOutcome", "slo_report", "merge_slo_summaries",
            "attainment_of", "service_report"]
@@ -189,8 +190,7 @@ def slo_report(outcomes: Sequence[ArrivalOutcome],
     if horizon_us <= 0:
         raise ConfigError("SLO report needs a positive horizon")
     if window_us is None:
-        from repro.workloads.traffic import default_window_us
-        window_us = default_window_us()
+        window_us = DEFAULT_WINDOW_US
     if window_us <= 0:
         raise ConfigError("SLO window must be positive")
     by_tenant: Dict[str, List[ArrivalOutcome]] = {}

@@ -20,11 +20,10 @@ See DESIGN.md §12 for the architecture and the durability contract,
 """
 
 from repro.harness.executor import CircuitBreaker
-from repro.service.admission import AdmissionQueue, default_capacity
+from repro.service.admission import AdmissionQueue
 from repro.service.client import ServiceClient
 from repro.service.daemon import (
     SchedulerDaemon,
-    default_heartbeat,
     default_service_dir,
     reconcile_qos,
 )
@@ -32,7 +31,6 @@ from repro.service.overload import (
     BROWNOUT_LEVELS,
     BrownoutController,
     ServiceTimeEstimator,
-    default_queue_ttl,
 )
 from repro.service.state import Job, JobState, is_terminal, validate_transition
 from repro.service.store import JobTable, JournalStore
@@ -49,9 +47,6 @@ __all__ = [
     "SchedulerDaemon",
     "ServiceClient",
     "ServiceTimeEstimator",
-    "default_capacity",
-    "default_heartbeat",
-    "default_queue_ttl",
     "default_service_dir",
     "is_terminal",
     "reconcile_qos",

@@ -17,26 +17,20 @@ from __future__ import annotations
 import heapq
 from typing import List, Optional, Set, Tuple
 
-from repro.env import env_int
 from repro.errors import AdmissionError, ConfigError, ServiceError
 from repro.service.state import Job
 
-__all__ = ["AdmissionQueue", "DEFAULT_CAPACITY", "default_capacity"]
+__all__ = ["AdmissionQueue", "DEFAULT_CAPACITY"]
 
-#: Default bound on waiting jobs (``CHIMERA_SERVICE_CAPACITY``).
+#: Default bound on waiting jobs (``serve --capacity``).
 DEFAULT_CAPACITY = 64
-
-
-def default_capacity() -> int:
-    """Queue bound from ``CHIMERA_SERVICE_CAPACITY`` (default 64)."""
-    return env_int("CHIMERA_SERVICE_CAPACITY", DEFAULT_CAPACITY, minimum=1)
 
 
 class AdmissionQueue:
     """A bounded max-priority queue of :class:`~repro.service.state.Job`."""
 
     def __init__(self, capacity: Optional[int] = None):
-        self.capacity = default_capacity() if capacity is None else capacity
+        self.capacity = DEFAULT_CAPACITY if capacity is None else capacity
         if self.capacity < 1:
             raise ConfigError("admission queue capacity must be >= 1")
         self._heap: List[Tuple[Tuple[int, int], Job]] = []

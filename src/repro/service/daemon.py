@@ -52,26 +52,23 @@ Durability contract (DESIGN.md §12, §14)
 
 Environment knobs:
 
-* ``CHIMERA_SERVICE_DIR``      — service directory (default
+* ``CHIMERA_SERVICE_DIR``  — service directory (default
   ``.chimera-service``): journal, spool, results, control files
-* ``CHIMERA_SERVICE_CAPACITY`` — admission queue bound (default 64)
-* ``CHIMERA_SERVICE_WORKERS``  — concurrent execution slots (default
-  ``os.cpu_count()``); ``1`` keeps execution in-process/in-thread
-* ``CHIMERA_HEARTBEAT``        — worker heartbeat watchdog timeout in
-  seconds (default 30); a worker silent for longer is declared lost and
-  its job FAILED. It is also each spec's deadline on a worker process:
-  a spec still running then has its worker killed and replaced
-* ``CHIMERA_QUEUE_TTL``, ``CHIMERA_BROWNOUT_*`` — overload control
-  (queue-age expiry, brownout watermarks); see
+* ``CHIMERA_BROWNOUT_*``   — brownout watermarks; see
   :mod:`repro.service.overload`
-* ``CHIMERA_BREAKER_*``        — the workers' circuit breaker; see
-  :mod:`repro.harness.executor`
+
+The queue bound (64), slot count (``os.cpu_count()``), heartbeat (30 s)
+and queue TTL (0 = never) are constructor arguments, set by ``serve
+--capacity/--workers/--heartbeat/--queue-ttl``. The heartbeat is both
+the watchdog timeout — a worker silent for longer is declared lost and
+its job FAILED — and each spec's deadline on a worker process, where a
+spec still running then has its worker killed and replaced.
 
 Overload control (DESIGN.md §15)
 --------------------------------
 Between slot supervision and preemption each tick runs
-:meth:`SchedulerDaemon._overload_control`: queued jobs past
-``CHIMERA_QUEUE_TTL`` expire to ``TIMED_OUT``; the brownout state
+:meth:`SchedulerDaemon._overload_control`: queued jobs past the queue
+TTL expire to ``TIMED_OUT``; the brownout state
 machine folds in queue depth/age pressure and sheds whole priority
 classes to ``SHED`` when it escalates (every level change journaled, so
 restarts recover the level); the circuit breaker's state changes are
@@ -99,7 +96,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.env import env_float, env_int
 from repro.errors import AdmissionError, ConfigError, ServiceError
 from repro.harness import faults
 from repro.harness.cache import ResultCache
@@ -110,11 +106,7 @@ from repro.harness.sweep import RunSpec, execute_timed
 from repro.metrics.qos import merge_qos_summaries
 from repro.metrics.slo import merge_slo_summaries
 from repro.service.admission import AdmissionQueue
-from repro.service.overload import (
-    BrownoutController,
-    ServiceTimeEstimator,
-    default_queue_ttl,
-)
+from repro.service.overload import BrownoutController, ServiceTimeEstimator
 from repro.service.state import Job, JobState, is_terminal
 from repro.service.store import (
     JobTable,
@@ -126,8 +118,7 @@ from repro.service.store import (
 logger = logging.getLogger("repro.service.daemon")
 
 __all__ = ["SchedulerDaemon", "BEACON_PERIOD_S", "DEFAULT_SERVICE_DIR",
-           "DEFAULT_HEARTBEAT_S", "default_heartbeat", "default_service_dir",
-           "default_workers", "reconcile_qos"]
+           "DEFAULT_HEARTBEAT_S", "default_service_dir", "reconcile_qos"]
 
 #: Default service directory, relative to the current working directory.
 DEFAULT_SERVICE_DIR = ".chimera-service"
@@ -152,22 +143,6 @@ def default_service_dir() -> str:
     """Service directory from ``CHIMERA_SERVICE_DIR``."""
     return os.environ.get("CHIMERA_SERVICE_DIR", "").strip() \
         or DEFAULT_SERVICE_DIR
-
-
-def default_heartbeat() -> float:
-    """Watchdog timeout in seconds from ``CHIMERA_HEARTBEAT``."""
-    return env_float("CHIMERA_HEARTBEAT", DEFAULT_HEARTBEAT_S, above=0.0)
-
-
-def default_workers() -> int:
-    """Execution slot count from ``CHIMERA_SERVICE_WORKERS``.
-
-    Defaults to ``os.cpu_count()`` (at least 1): the daemon's specs are
-    CPU-bound simulator runs, so one slot per core is the saturation
-    point.
-    """
-    return env_int("CHIMERA_SERVICE_WORKERS", os.cpu_count() or 1,
-                   minimum=1)
 
 
 def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
@@ -301,13 +276,16 @@ class SchedulerDaemon:
         #: one fsync in :meth:`_commit` before acting on any of them.
         self.store = JournalStore(self.directory, autosync=False)
         self.queue = AdmissionQueue(capacity)
-        self.heartbeat_s = (default_heartbeat() if heartbeat_s is None
+        self.heartbeat_s = (DEFAULT_HEARTBEAT_S if heartbeat_s is None
                             else heartbeat_s)
         if self.heartbeat_s <= 0:
             raise ConfigError("heartbeat_s must be > 0")
         self.cache = ResultCache.from_env() if cache is None else cache
         self.poll_s = poll_s
-        self.workers = default_workers() if workers is None else int(workers)
+        # One slot per core by default: specs are CPU-bound simulator
+        # runs, so that is the saturation point.
+        self.workers = (os.cpu_count() or 1) if workers is None \
+            else int(workers)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         #: With one worker, specs run in the slot thread (what the
@@ -344,10 +322,8 @@ class SchedulerDaemon:
         self.estimator = ServiceTimeEstimator()
         self.brownout = (BrownoutController.from_env() if brownout is None
                          else brownout)
-        self.breaker = CircuitBreaker.from_env() if breaker is None \
-            else breaker
-        self.queue_ttl_s = (default_queue_ttl() if queue_ttl_s is None
-                            else float(queue_ttl_s))
+        self.breaker = CircuitBreaker() if breaker is None else breaker
+        self.queue_ttl_s = 0.0 if queue_ttl_s is None else float(queue_ttl_s)
         if self.queue_ttl_s < 0:
             raise ConfigError("queue_ttl_s must be >= 0")
         #: Breaker state as last journaled; the tick thread journals

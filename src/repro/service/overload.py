@@ -23,20 +23,17 @@ with the sweep runner:
 
 Environment knobs (all optional; see the README table):
 
-* ``CHIMERA_QUEUE_TTL``           — queued jobs older than this many
-  seconds expire to ``TIMED_OUT`` (default ``0`` = disabled)
-* ``CHIMERA_BROWNOUT_ENTER``      — pressure watermark to escalate one
+* ``CHIMERA_BROWNOUT_ENTER``   — pressure watermark to escalate one
   level (fraction, default ``0.85``)
-* ``CHIMERA_BROWNOUT_EXIT``       — pressure watermark to de-escalate
+* ``CHIMERA_BROWNOUT_EXIT``    — pressure watermark to de-escalate
   (default ``0.5``; must be below the enter watermark)
-* ``CHIMERA_BROWNOUT_AGE_S``      — oldest-queued age that counts as
+* ``CHIMERA_BROWNOUT_AGE_S``   — oldest-queued age that counts as
   full (1.0) pressure (default ``30``; ``0`` disables age pressure)
-* ``CHIMERA_BROWNOUT_DWELL_S``    — minimum seconds between brownout
+* ``CHIMERA_BROWNOUT_DWELL_S`` — minimum seconds between brownout
   level changes (default ``1.0``)
-* ``CHIMERA_BROWNOUT_BEST_EFFORT``— priorities ≤ this are the
-  best-effort class (default ``0``)
-* ``CHIMERA_BROWNOUT_CRITICAL``   — priorities ≥ this are the critical
-  class (default ``5``); between the two thresholds is "low priority"
+
+Priorities ≤ 0 are the best-effort class and priorities ≥ 5 the
+critical class; between the two is "low priority".
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.env import env_float, env_int
+from repro.env import env_float
 from repro.errors import ConfigError
 
 __all__ = [
@@ -53,18 +50,12 @@ __all__ = [
     "BrownoutController",
     "ServiceTimeEstimator",
     "default_brownout_config",
-    "default_queue_ttl",
 ]
 
 #: Brownout levels, mildest first. The index is the level number that
 #: rides on every journaled ``brownout`` meta record.
 BROWNOUT_LEVELS = ("normal", "shed-best-effort", "shed-low-priority",
                    "critical-only")
-
-
-def default_queue_ttl() -> float:
-    """Queue TTL in seconds from ``CHIMERA_QUEUE_TTL`` (0 disables)."""
-    return env_float("CHIMERA_QUEUE_TTL", 0.0, minimum=0.0)
 
 
 def default_brownout_config() -> Dict[str, float]:
@@ -77,8 +68,6 @@ def default_brownout_config() -> Dict[str, float]:
         "age_full_s": env_float("CHIMERA_BROWNOUT_AGE_S", 30.0,
                                 minimum=0.0),
         "dwell_s": env_float("CHIMERA_BROWNOUT_DWELL_S", 1.0, minimum=0.0),
-        "best_effort_max": env_int("CHIMERA_BROWNOUT_BEST_EFFORT", 0),
-        "critical_min": env_int("CHIMERA_BROWNOUT_CRITICAL", 5),
     }
 
 
@@ -205,8 +194,7 @@ class BrownoutController:
             raise ConfigError("brownout dwell/age knobs must be >= 0")
         if best_effort_max >= critical_min:
             raise ConfigError(
-                "CHIMERA_BROWNOUT_BEST_EFFORT must be below "
-                "CHIMERA_BROWNOUT_CRITICAL")
+                "brownout best_effort_max must be below critical_min")
         self.enter_frac = enter_frac
         self.exit_frac = exit_frac
         self.age_full_s = age_full_s

@@ -11,7 +11,7 @@ plus recovery edges back to ``QUEUED`` (a crash while a job was
 admitted/running re-queues it from its last durable transition), and two
 overload exits out of the queue itself: ``SHED`` (brownout load
 shedding dropped the job) and ``TIMED_OUT`` (it sat queued past
-``CHIMERA_QUEUE_TTL``). ``COMPLETED``, ``KILLED``, ``FAILED``,
+the queue TTL, ``serve --queue-ttl``). ``COMPLETED``, ``KILLED``, ``FAILED``,
 ``SHED``, and ``TIMED_OUT`` are terminal: a job reaches exactly one of
 them exactly once, and the journal replay enforces it.
 
@@ -45,7 +45,7 @@ class JobState(str, Enum):
     KILLED = "killed"          # cancelled by the client
     FAILED = "failed"          # spec error or heartbeat loss
     SHED = "shed"              # dropped by brownout load shedding
-    TIMED_OUT = "timed-out"    # expired in the queue (CHIMERA_QUEUE_TTL)
+    TIMED_OUT = "timed-out"    # expired in the queue (--queue-ttl)
 
 
 #: Legal edges. Edges back to QUEUED are the crash-recovery re-queues:
@@ -133,7 +133,7 @@ class Job:
     #: FIFO tiebreaker within a priority level (journal seq of QUEUED).
     submit_seq: int = 0
     #: Wall time the job last entered a queue-waiting state (QUEUED or
-    #: PREEMPTED); drives queue-age pressure and CHIMERA_QUEUE_TTL
+    #: PREEMPTED); drives queue-age pressure and queue-TTL
     #: expiry. Replay restores it from the record timestamp.
     enqueued_t: float = 0.0
     #: Set on a terminal transition: error text, kill reason, ...

@@ -44,8 +44,10 @@ loop. The exactness tests live in ``tests/test_rng_vector.py``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random as _random_mod
+import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -70,23 +72,32 @@ class VectorUnsupported(Exception):
     """Raised when a draw cannot be vectorized bit-exactly."""
 
 
-# One process-wide MT19937 shared by every _UniformBlock: the bare
-# constructor burns ~175us seeding a SeedSequence we immediately
-# overwrite, so blocks reuse this object and re-seat its state instead.
-# (_OWNER_SERIAL, _OWNER_WORDS) records whose stream the generator
-# currently holds and how many raw words past that block's initial
-# state it sits — a block serial, not id(), since ids get recycled.
-_BITGEN = None
-_OWNER_SERIAL = -1
-_OWNER_WORDS = -1
-_next_serial = 0
+class _Seat(threading.local):
+    """One MT19937 per thread, shared by that thread's _UniformBlocks:
+    the bare constructor burns ~175us seeding a SeedSequence we
+    immediately overwrite, so blocks reuse this object and re-seat its
+    state instead. ``(owner, words)`` records whose stream the generator
+    currently holds and how many raw words past that block's initial
+    state it sits — a block serial, not id(), since ids get recycled.
+    Per thread, because simulations running in threads of one process
+    would otherwise re-seat each other's generator mid-draw."""
+
+    bitgen = None
+    owner = -1
+    words = -1
+
+
+_SEAT = _Seat()
+
+#: Block serials; ``next()`` on a count is atomic under the GIL.
+_SERIALS = itertools.count()
 
 
 def _shared_bitgen():
-    global _BITGEN
-    if _BITGEN is None:
-        _BITGEN = np.random.MT19937()
-    return _BITGEN
+    bg = _SEAT.bitgen
+    if bg is None:
+        bg = _SEAT.bitgen = np.random.MT19937()
+    return bg
 
 
 class _UniformBlock:
@@ -97,7 +108,6 @@ class _UniformBlock:
     __slots__ = ("_version", "_gauss", "_key0", "_pos0", "_u", "_serial")
 
     def __init__(self, state: tuple):
-        global _next_serial
         version, internal, gauss = state
         if version != 3 or len(internal) != 625:
             raise VectorUnsupported(f"unknown Random state version {version}")
@@ -106,13 +116,12 @@ class _UniformBlock:
         self._key0 = np.array(internal[:-1], dtype=np.uint32)
         self._pos0 = internal[-1]
         self._u = np.empty(0, dtype=np.float64)
-        self._serial = _next_serial
-        _next_serial += 1
+        self._serial = next(_SERIALS)
 
     def _seat(self, words_consumed: int):
-        """Point the shared bit generator at this block's stream, fast-
-        forwarded ``words_consumed`` raw words past the initial state."""
-        global _OWNER_SERIAL, _OWNER_WORDS
+        """Point this thread's bit generator at this block's stream,
+        fast-forwarded ``words_consumed`` raw words past the initial
+        state."""
         bg = _shared_bitgen()
         bg.state = {
             "bit_generator": "MT19937",
@@ -120,22 +129,21 @@ class _UniformBlock:
         }
         if words_consumed:
             bg.random_raw(words_consumed)
-        _OWNER_SERIAL = self._serial
-        _OWNER_WORDS = words_consumed
+        _SEAT.owner = self._serial
+        _SEAT.words = words_consumed
         return bg
 
     def uniforms(self, n: int) -> "np.ndarray":
         """The first ``n`` uniforms of the stream (growing the block)."""
-        global _OWNER_WORDS
         have = self._u.size
         if have < n:
-            if _OWNER_SERIAL == self._serial and _OWNER_WORDS == 2 * have:
-                bg = _shared_bitgen()
+            if _SEAT.owner == self._serial and _SEAT.words == 2 * have:
+                bg = _SEAT.bitgen
             else:
                 bg = self._seat(2 * have)
             grow = max(n - have, 512)
             raw = bg.random_raw(2 * grow)
-            _OWNER_WORDS = 2 * have + 2 * grow
+            _SEAT.words = 2 * have + 2 * grow
             a = raw[0::2] >> np.uint64(5)
             b = raw[1::2] >> np.uint64(6)
             fresh = (a * 67108864.0 + b) * _INV53

@@ -27,36 +27,28 @@ times, one for kernel-mix sampling), so adding a tenant never perturbs
 another tenant's stream, and the interarrival stream stays statistically
 clean for the KS conformance tests.
 
-Environment knobs:
-
-* ``CHIMERA_TRAFFIC_MAX_ARRIVALS`` — safety cap on a generated stream
-  (default 200000); a runaway rate x horizon combination raises
-  :class:`~repro.errors.ConfigError` instead of looping forever
-* ``CHIMERA_TRAFFIC_MIX``          — default kernel-mix catalog name
-  for tenants that do not pin one (default ``table2-short``)
-* ``CHIMERA_TRAFFIC_WINDOW_US``    — sliding-window width for the SLO
-  report's windowed ANTT/STP (default 10000)
+A stream is capped at ``DEFAULT_MAX_ARRIVALS`` arrivals unless the
+caller passes ``cap``: a runaway rate x horizon combination raises
+:class:`~repro.errors.ConfigError` instead of looping forever.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.env import env_float, env_int
 from repro.errors import ConfigError
-from repro.workloads.specs import KernelMix, mix as mix_by_name, mix_names
+from repro.workloads.specs import KernelMix, mix as mix_by_name
 
 __all__ = [
     "Arrival", "ArrivalSpec", "TenantSpec", "ARRIVAL_KINDS",
     "build_stream", "tenant_stream", "merge_streams", "encode_stream",
-    "decode_stream", "default_max_arrivals", "default_mix_name",
-    "default_window_us", "ks_statistic", "ks_threshold",
+    "decode_stream", "DEFAULT_MAX_ARRIVALS", "DEFAULT_MIX",
+    "DEFAULT_WINDOW_US", "ks_statistic", "ks_threshold",
     "exponential_cdf", "index_of_dispersion",
 ]
 
@@ -71,30 +63,6 @@ DEFAULT_MIX = "table2-short"
 
 #: Default sliding-window width for windowed SLO metrics, us.
 DEFAULT_WINDOW_US = 10_000.0
-
-
-def default_max_arrivals() -> int:
-    """Stream-size safety cap from ``CHIMERA_TRAFFIC_MAX_ARRIVALS``."""
-    return env_int("CHIMERA_TRAFFIC_MAX_ARRIVALS", DEFAULT_MAX_ARRIVALS,
-                   minimum=1)
-
-
-def default_mix_name() -> str:
-    """Default kernel-mix name from ``CHIMERA_TRAFFIC_MIX``."""
-    raw = os.environ.get("CHIMERA_TRAFFIC_MIX", "").strip()
-    if not raw:
-        return DEFAULT_MIX
-    if raw not in mix_names():
-        raise ConfigError(
-            f"CHIMERA_TRAFFIC_MIX names unknown mix {raw!r}; "
-            f"known: {sorted(mix_names())}")
-    return raw
-
-
-def default_window_us() -> float:
-    """Sliding-window width from ``CHIMERA_TRAFFIC_WINDOW_US``."""
-    return env_float("CHIMERA_TRAFFIC_WINDOW_US", DEFAULT_WINDOW_US,
-                     above=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +157,7 @@ class TenantSpec:
 
     name: str
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
-    #: Kernel-mix catalog name (empty: the CHIMERA_TRAFFIC_MIX default).
+    #: Kernel-mix catalog name (empty: ``DEFAULT_MIX``).
     mix: str = ""
     #: Admission priority; higher preempts lower in the daemon and gets
     #: a proportionally larger SM share in the simulator.
@@ -207,7 +175,7 @@ class TenantSpec:
 
     def kernel_mix(self) -> KernelMix:
         """The tenant's resolved kernel-mix catalog."""
-        return mix_by_name(self.mix or default_mix_name())
+        return mix_by_name(self.mix or DEFAULT_MIX)
 
 
 @dataclass(frozen=True)
@@ -267,8 +235,7 @@ def _poisson_times(rng: random.Random, rate_per_us: float,
         if len(times) > cap:
             raise ConfigError(
                 f"traffic stream exceeded the {cap}-arrival safety cap "
-                f"(rate x horizon too large; see "
-                f"CHIMERA_TRAFFIC_MAX_ARRIVALS)")
+                f"(rate x horizon too large)")
 
 
 def _diurnal_times(rng: random.Random, spec: ArrivalSpec,
@@ -287,8 +254,7 @@ def _diurnal_times(rng: random.Random, spec: ArrivalSpec,
             if len(times) > cap:
                 raise ConfigError(
                     f"traffic stream exceeded the {cap}-arrival safety "
-                    f"cap (rate x horizon too large; see "
-                    f"CHIMERA_TRAFFIC_MAX_ARRIVALS)")
+                    f"cap (rate x horizon too large)")
 
 
 def _bursty_times(rng: random.Random, spec: ArrivalSpec,
@@ -312,8 +278,7 @@ def _bursty_times(rng: random.Random, spec: ArrivalSpec,
             if len(times) > cap:
                 raise ConfigError(
                     f"traffic stream exceeded the {cap}-arrival safety "
-                    f"cap (rate x horizon too large; see "
-                    f"CHIMERA_TRAFFIC_MAX_ARRIVALS)")
+                    f"cap (rate x horizon too large)")
         t = state_end
         in_burst = not in_burst
     return times
@@ -325,7 +290,7 @@ def arrival_times(spec: ArrivalSpec, rng: random.Random,
     """Generate one tenant's raw arrival times in [0, horizon)."""
     if horizon_us <= 0:
         raise ConfigError("traffic horizon must be positive")
-    cap = default_max_arrivals() if cap is None else cap
+    cap = DEFAULT_MAX_ARRIVALS if cap is None else cap
     if spec.kind == "poisson":
         return _poisson_times(rng, spec.rate_per_us, horizon_us, cap)
     if spec.kind == "diurnal":
@@ -365,11 +330,11 @@ def merge_streams(streams: Iterable[Sequence[Arrival]],
     """
     merged = sorted((a for stream in streams for a in stream),
                     key=lambda a: (a.t_us, a.tenant, a.seq))
-    cap = default_max_arrivals() if cap is None else cap
+    cap = DEFAULT_MAX_ARRIVALS if cap is None else cap
     if len(merged) > cap:
         raise ConfigError(
             f"merged traffic stream has {len(merged)} arrivals, above the "
-            f"{cap} safety cap (see CHIMERA_TRAFFIC_MAX_ARRIVALS)")
+            f"{cap} safety cap")
     return [Arrival(seq=i, t_us=a.t_us, tenant=a.tenant,
                     priority=a.priority, kernel=a.kernel, slo_us=a.slo_us)
             for i, a in enumerate(merged)]

@@ -192,12 +192,12 @@ class TestLogLevelAndExitCodes:
         assert exc.value.code == 2  # argparse usage errors exit 2
 
     def test_config_error_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CHIMERA_SERVICE_CAPACITY", "a lot")
+        monkeypatch.setenv("CHIMERA_BROWNOUT_ENTER", "many")
         code = main(["serve", "--dir", str(tmp_path / "svc"),
                      "--idle-exit", "0"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error:" in err and "CHIMERA_SERVICE_CAPACITY" in err
+        assert "error:" in err and "CHIMERA_BROWNOUT_ENTER" in err
 
     def test_unknown_job_exits_1(self, tmp_path, capsys):
         code = main(["status", "--dir", str(tmp_path / "svc"),

@@ -35,7 +35,6 @@ from repro.service import (
     SchedulerDaemon,
     ServiceClient,
 )
-from repro.service.daemon import default_workers
 
 
 @pytest.fixture(autouse=True)
@@ -457,18 +456,6 @@ class TestKInflightCrashSweep:
 
 
 class TestConfigAndStatus:
-    def test_default_workers_env(self, monkeypatch):
-        monkeypatch.delenv("CHIMERA_SERVICE_WORKERS", raising=False)
-        assert default_workers() >= 1
-        monkeypatch.setenv("CHIMERA_SERVICE_WORKERS", "3")
-        assert default_workers() == 3
-        monkeypatch.setenv("CHIMERA_SERVICE_WORKERS", "0")
-        with pytest.raises(ConfigError):
-            default_workers()
-        monkeypatch.setenv("CHIMERA_SERVICE_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            default_workers()
-
     def test_workers_must_be_positive(self, tmp_path):
         with pytest.raises(ConfigError):
             SchedulerDaemon(tmp_path / "svc", workers=0)

@@ -13,6 +13,8 @@ unsupported-parameter edges.
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -184,3 +186,42 @@ class TestRngStreamsGate:
         got = RngStreams(9).beta_batch("k", 0.5, 2.0, 600)
         ref = RngStreams(9)
         assert got == [ref.beta("k", 0.5, 2.0) for _ in range(600)]
+
+
+class TestThreadedFills:
+    def test_concurrent_batches_match_serial(self):
+        """Simulations in threads of one process (the daemon's inline
+        slots) draw exactly what they draw alone: each thread seats its
+        own bit generator, so no fill re-seats another's mid-draw."""
+        n = 600
+        seeds = (11, 12, 13, 14)
+
+        def draw(seed):
+            streams = RngStreams(seed)
+            return (streams.beta_batch("nonidem", 8.0, 2.0, n),
+                    streams.lognormal_batch("size", 10.0, 0.3, n),
+                    streams.beta_batch("nonidem", 2.0, 1.5, n))
+
+        rounds = 25
+        want = {seed: draw(seed) for seed in seeds}
+        matched = []
+        start = threading.Barrier(len(seeds))
+
+        def worker(seed):
+            start.wait(timeout=30.0)
+            matched.append(sum(draw(seed) == want[seed]
+                               for _ in range(rounds)))
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matched == [rounds] * len(seeds)

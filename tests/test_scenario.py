@@ -13,6 +13,7 @@ Regenerate the golden report after an intentional scoring change with
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
@@ -21,6 +22,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
+from repro.harness.cache import ResultCache
 from repro.harness.scenario import ScenarioSpec, result_slo, run_traffic
 from repro.harness.sweep import RunSpec, SweepRunner, SweepStats
 from repro.metrics.slo import ArrivalOutcome, merge_slo_summaries, slo_report
@@ -273,6 +275,33 @@ class TestRunSpecIntegration:
         merged.merge(stats)
         assert merged.slo_arrivals == stats.slo_arrivals
         assert merged.as_dict()["slo_met"] == stats.slo_met
+
+    def test_result_depends_on_the_spec_alone(self, tmp_path, monkeypatch):
+        """The cache replays a result by its spec's key, which cannot
+        see the environment: variables named like the traffic defaults
+        (a tenant's mix, the SLO window) change neither a fresh run nor
+        a cached replay of a spec that leaves both to their defaults."""
+        scenario = ScenarioSpec(
+            tenants=(TenantSpec(name="web", arrival=ArrivalSpec(
+                rate_per_s=2_000.0)),),
+            horizon_us=20_000.0, drain_us=10_000.0)
+        spec = RunSpec.traffic(scenario, seed=7, config=small_config(),
+                               target_kernel_us=60.0)
+
+        def digest(result):
+            blob = encode_report(result.slo) + repr(result.outcomes)
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        cache = ResultCache(tmp_path / "cache")
+        clean = digest(SweepRunner(jobs=1, cache=cache).run([spec])[0])
+        key = spec.cache_key()
+        monkeypatch.setenv("CHIMERA_TRAFFIC_MIX", "dl-train")
+        monkeypatch.setenv("CHIMERA_TRAFFIC_WINDOW_US", "2500")
+        assert spec.cache_key() == key
+        assert digest(spec.execute()) == clean
+        warm = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
+        assert digest(warm.run([spec])[0]) == clean
+        assert warm.last_stats.executed == 0
 
 
 class TestSLOReportUnits:

@@ -49,8 +49,7 @@ from repro.service import (
     ServiceClient,
     reconcile_qos,
 )
-from repro.service.admission import default_capacity
-from repro.service.daemon import default_heartbeat, default_service_dir
+from repro.service.daemon import default_service_dir
 from repro.service.state import TRANSITIONS, is_terminal, validate_transition
 from repro.service.store import read_journal, spec_from_dict, spec_to_dict
 from repro.workloads.multiprogram import MultiprogramWorkload
@@ -319,16 +318,6 @@ class TestAdmissionQueue:
         assert queue.remove("j1") is None
         assert [j.job_id for j in queue.jobs()] == ["j2", "j0"]
 
-    def test_capacity_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("CHIMERA_SERVICE_CAPACITY", raising=False)
-        assert default_capacity() == 64
-        monkeypatch.setenv("CHIMERA_SERVICE_CAPACITY", "3")
-        assert default_capacity() == 3
-        for bad in ("0", "-2", "many"):
-            monkeypatch.setenv("CHIMERA_SERVICE_CAPACITY", bad)
-            with pytest.raises(ConfigError):
-                default_capacity()
-
 
 class TestServiceEnv:
     def test_service_dir_env(self, monkeypatch):
@@ -336,16 +325,6 @@ class TestServiceEnv:
         assert default_service_dir() == ".chimera-service"
         monkeypatch.setenv("CHIMERA_SERVICE_DIR", "/tmp/x")
         assert default_service_dir() == "/tmp/x"
-
-    def test_heartbeat_env(self, monkeypatch):
-        monkeypatch.delenv("CHIMERA_HEARTBEAT", raising=False)
-        assert default_heartbeat() == 30.0
-        monkeypatch.setenv("CHIMERA_HEARTBEAT", "2.5")
-        assert default_heartbeat() == 2.5
-        for bad in ("0", "-1", "soon"):
-            monkeypatch.setenv("CHIMERA_HEARTBEAT", bad)
-            with pytest.raises(ConfigError):
-                default_heartbeat()
 
 
 class TestDaemonLifecycle:

@@ -34,9 +34,6 @@ from repro.workloads.traffic import (
     arrival_times,
     build_stream,
     decode_stream,
-    default_max_arrivals,
-    default_mix_name,
-    default_window_us,
     encode_stream,
     exponential_cdf,
     index_of_dispersion,
@@ -285,31 +282,6 @@ class TestSpecsAndKnobs:
                             arrival=ArrivalSpec(rate_per_s=20_000.0))
         with pytest.raises(ConfigError, match="safety cap"):
             build_stream([tenant], 1, 100_000.0, cap=50)
-
-    def test_max_arrivals_knob(self, monkeypatch):
-        monkeypatch.setenv("CHIMERA_TRAFFIC_MAX_ARRIVALS", "123")
-        assert default_max_arrivals() == 123
-        monkeypatch.setenv("CHIMERA_TRAFFIC_MAX_ARRIVALS", "zero")
-        with pytest.raises(ConfigError):
-            default_max_arrivals()
-        monkeypatch.setenv("CHIMERA_TRAFFIC_MAX_ARRIVALS", "0")
-        with pytest.raises(ConfigError):
-            default_max_arrivals()
-
-    def test_mix_knob(self, monkeypatch):
-        monkeypatch.setenv("CHIMERA_TRAFFIC_MIX", "dl-train")
-        assert default_mix_name() == "dl-train"
-        assert TenantSpec(name="t").kernel_mix().name == "dl-train"
-        monkeypatch.setenv("CHIMERA_TRAFFIC_MIX", "nope")
-        with pytest.raises(ConfigError):
-            default_mix_name()
-
-    def test_window_knob(self, monkeypatch):
-        monkeypatch.setenv("CHIMERA_TRAFFIC_WINDOW_US", "2500")
-        assert default_window_us() == 2500.0
-        monkeypatch.setenv("CHIMERA_TRAFFIC_WINDOW_US", "-1")
-        with pytest.raises(ConfigError):
-            default_window_us()
 
     def test_ks_helpers_validate(self):
         with pytest.raises(ConfigError):
