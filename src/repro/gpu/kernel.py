@@ -35,8 +35,7 @@ class KernelStats:
 
     __slots__ = (
         "tbs_completed", "insts_retired", "cycles_retired", "insts_discarded",
-        "stall_insts", "idle_slot_insts", "preemptions",
-        "flushes", "switches", "drains", "tb_insts_sumsq", "tb_insts_max",
+        "stall_insts", "idle_slot_insts", "tb_insts_sumsq", "tb_insts_max",
     )
 
     def __init__(self) -> None:
@@ -54,10 +53,6 @@ class KernelStats:
         self.stall_insts = 0.0
         #: Work forgone while preemption holds SM slots idle.
         self.idle_slot_insts = 0.0
-        self.preemptions = 0
-        self.flushes = 0
-        self.switches = 0
-        self.drains = 0
 
     @property
     def wasted_insts(self) -> float:

@@ -24,7 +24,11 @@ may :meth:`~StreamingMultiprocessor.escalate` lagging blocks toward a
 cheaper technique (drain→switch, drain/switch→flush) when the realized
 latency is about to blow the plan's budget; the per-block hand-over
 events recorded on the :class:`PreemptionRecord` feed the guard's
-predicted-vs-realized calibration ledger.
+predicted-vs-realized calibration ledger. Whether :meth:`preempt` or
+:meth:`escalate` decided it, a flushed or switched-out block leaves the
+SM through :meth:`StreamingMultiprocessor._hand_off`, which frees its
+slot, logs the event on the record and the trace, and queues it for
+re-dispatch; ``tests/test_handover_golden.py`` pins every such path.
 
 Plain completion is the fluid model's hottest path (~1M thread blocks
 per Figure 6/7 sweep), so :meth:`StreamingMultiprocessor._complete`
@@ -447,16 +451,14 @@ class StreamingMultiprocessor:
                 kernel=self.kernel.name)
         now = self.engine.now
         self.advance()
-        kernel = self.kernel
         record = PreemptionRecord(
-            sm_id=self.sm_id, kernel_name=kernel.name, request_time=now,
+            sm_id=self.sm_id, kernel_name=self.kernel.name, request_time=now,
             estimated_latency=estimated_latency,
             estimated_overhead=estimated_overhead)
         for tech in Technique:
             count = sum(1 for t in plan.values() if t is tech)
             if count:
                 record.techniques[tech] = count
-        kernel.stats.preemptions += 1
 
         self.state = SMState.PREEMPTING
         self._record = record
@@ -464,72 +466,75 @@ class StreamingMultiprocessor:
         self._saving = []
         self._vacated = []
 
-        switch_bytes = 0
         switched: List[ThreadBlock] = []
         for tb, tech in plan.items():
             if tech is Technique.FLUSH:
-                self._cancel_tb_events(tb)
-                if self.tracer is not None:
-                    # Snapshot before flush() resets the block.
-                    idempotent = tb.idempotent_now
-                    executed = tb.executed_insts
-                discarded = tb.flush(now)
-                kernel.stats.insts_discarded += discarded
-                kernel.stats.flushes += 1
-                kernel.note_off_sm(tb)
-                self.resident.remove(tb)
-                self._vacated.append((now, tb.rate))
-                record.tb_events.append((tb.index, Technique.FLUSH.value, 0.0))
-                if self.tracer is not None:
-                    flush_extra = {}
-                    if tb.nonidem_at != float("inf"):
-                        flush_extra["nonidem_at"] = tb.nonidem_at
-                    self._trace(trace_mod.FLUSH, f"{kernel.name}#{tb.index}",
-                                kernel=kernel.name, tb=tb.index,
-                                discarded=discarded, executed=executed,
-                                idempotent=idempotent, **flush_extra)
-                self.listener.on_tb_preempted(tb)
+                self._flush(tb, now)
             elif tech is Technique.SWITCH:
-                self._cancel_tb_events(tb)
                 if tb.state is TBState.LOADING:
                     # Load was in flight: abandon it; context is still
                     # in memory, so the block reverts to SAVED for free.
+                    self._cancel_tb_events(tb)
                     tb.state = TBState.SAVED
-                    kernel.note_off_sm(tb)
-                    self.resident.remove(tb)
-                    self._vacated.append((now, tb.rate))
-                    kernel.stats.switches += 1
-                    record.tb_events.append(
-                        (tb.index, Technique.SWITCH.value, 0.0))
-                    if self.tracer is not None:
-                        self._trace(trace_mod.SWITCH,
-                                    f"{kernel.name}#{tb.index}",
-                                    kernel=kernel.name, tb=tb.index,
-                                    context_bytes=tb.context_bytes,
-                                    from_load=True)
-                    self.listener.on_tb_preempted(tb)
-                    continue
-                tb.halt(now)
-                switch_bytes += tb.context_bytes
-                switched.append(tb)
-                kernel.stats.switches += 1
+                    self._hand_off(tb, Technique.SWITCH, now, trace_mod.SWITCH,
+                                   context_bytes=tb.context_bytes,
+                                   from_load=True)
+                else:
+                    switched.append(tb)
             elif tech is Technique.DRAIN:
                 self._draining.append(tb)
-                kernel.stats.drains += 1
                 self._maybe_stall_drain(tb)
             else:  # pragma: no cover - exhaustive enum
                 raise PreemptionError(f"unknown technique {tech}")
 
         if switched:
-            self._start_save(switched, switch_bytes)
+            self._start_save(switched, now)
         self._maybe_release()
         return record
 
-    def _start_save(self, switched: List[ThreadBlock], switch_bytes: int) -> None:
-        """Kick off one serialized context-save DMA for ``switched``."""
+    def _hand_off(self, tb: ThreadBlock, technique: Technique, now: float,
+                  category: str, **payload) -> None:
+        """A flushed or switched-out block leaves the preempting SM:
+        free its slot, log the hand-over on the record and the trace,
+        and queue the block for re-dispatch."""
         kernel = self.kernel
+        record = self._record
+        kernel.note_off_sm(tb)
+        self.resident.remove(tb)
+        self._vacated.append((now, tb.rate))
+        record.tb_events.append(
+            (tb.index, technique.value, now - record.request_time))
+        if self.tracer is not None:
+            self._trace(category, f"{kernel.name}#{tb.index}",
+                        kernel=kernel.name, tb=tb.index, **payload)
+        self.listener.on_tb_preempted(tb)
+
+    def _flush(self, tb: ThreadBlock, now: float,
+               escalated: bool = False) -> None:
+        """Drop ``tb``'s progress with the reset circuit and hand it off."""
+        self._cancel_tb_events(tb)
+        # Snapshot before flush() resets the block.
+        idempotent = tb.idempotent_now
+        executed = tb.executed_insts
+        discarded = tb.flush(now)
+        self.kernel.stats.insts_discarded += discarded
+        extra = {"escalated": True} if escalated else {}
+        if tb.nonidem_at != _INF:
+            extra["nonidem_at"] = tb.nonidem_at
+        self._hand_off(tb, Technique.FLUSH, now, trace_mod.FLUSH,
+                       discarded=discarded, executed=executed,
+                       idempotent=idempotent, **extra)
+
+    def _start_save(self, switched: List[ThreadBlock], now: float) -> None:
+        """Halt ``switched`` and kick off one serialized context-save DMA
+        for them."""
+        kernel = self.kernel
+        for tb in switched:
+            self._cancel_tb_events(tb)
+            tb.halt(now)
         self._saving.extend(switched)
-        save_cycles = self.memory.record_dma(switch_bytes, self.sm_id)
+        save_cycles = self.memory.record_dma(
+            sum(tb.context_bytes for tb in switched), self.sm_id)
         for tb in switched:
             kernel.stats.stall_insts += save_cycles * tb.rate
         self.engine.schedule(save_cycles, lambda: self._finish_save(switched),
@@ -569,25 +574,15 @@ class StreamingMultiprocessor:
         pending = [tb for tb in switched if tb in self._saving]
         if not pending:
             return
-        kernel = self.kernel
-        record = self._record
-        if kernel is None or record is None:
+        if self.kernel is None or self._record is None:
             raise PreemptionError(
                 f"SM{self.sm_id}: save DMA completed with no preemption "
                 f"in flight", sim_time=now, sm_id=self.sm_id)
         for tb in pending:
             self._saving.remove(tb)
             tb.save_context(now)
-            kernel.note_off_sm(tb)
-            self.resident.remove(tb)
-            self._vacated.append((now, tb.rate))
-            record.tb_events.append(
-                (tb.index, Technique.SWITCH.value, now - record.request_time))
-            if self.tracer is not None:
-                self._trace(trace_mod.SWITCH, f"{kernel.name}#{tb.index}",
-                            kernel=kernel.name, tb=tb.index,
-                            context_bytes=tb.context_bytes, from_load=False)
-            self.listener.on_tb_preempted(tb)
+            self._hand_off(tb, Technique.SWITCH, now, trace_mod.SWITCH,
+                           context_bytes=tb.context_bytes, from_load=False)
         self._maybe_release()
 
     def _maybe_release(self) -> None:
@@ -620,8 +615,10 @@ class StreamingMultiprocessor:
     # ------------------------------------------------------------------
 
     def preempting_blocks(self) -> Tuple[List[ThreadBlock], List[ThreadBlock]]:
-        """The blocks still in flight for the current preemption:
-        ``(draining, saving)``. Empty lists when not preempting."""
+        """The blocks still in flight for the current preemption,
+        advanced to now: ``(draining, saving)``. Empty lists when not
+        preempting."""
+        self.advance()
         return (list(self._draining), list(self._saving))
 
     def escalate(self, assignments: Dict[ThreadBlock, Technique]) -> None:
@@ -643,103 +640,38 @@ class StreamingMultiprocessor:
         kernel = self.kernel
         record = self._record
         self.advance()
-        switch_bytes = 0
-        newly_switched: List[ThreadBlock] = []
+        switched: List[ThreadBlock] = []
         for tb, tech in assignments.items():
             if tb in self._draining:
-                if tech is Technique.FLUSH:
-                    if not tb.idempotent_now:
-                        raise EscalationError(
-                            f"SM{self.sm_id}: flush-escalate past "
-                            f"non-idempotent point ({kernel.name}#{tb.index})",
-                            sim_time=now, sm_id=self.sm_id,
-                            kernel=kernel.name)
-                    self._cancel_tb_events(tb)
-                    self._draining.remove(tb)
-                    if self.tracer is not None:
-                        executed = tb.executed_insts
-                    discarded = tb.flush(now)
-                    kernel.stats.insts_discarded += discarded
-                    kernel.stats.flushes += 1
-                    kernel.stats.drains -= 1
-                    kernel.note_off_sm(tb)
-                    self.resident.remove(tb)
-                    self._vacated.append((now, tb.rate))
-                    self._shift_technique(record, Technique.DRAIN,
-                                          Technique.FLUSH)
-                    record.tb_events.append(
-                        (tb.index, Technique.FLUSH.value,
-                         now - record.request_time))
-                    if self.tracer is not None:
-                        flush_extra = {}
-                        if tb.nonidem_at != float("inf"):
-                            flush_extra["nonidem_at"] = tb.nonidem_at
-                        self._trace(trace_mod.FLUSH,
-                                    f"{kernel.name}#{tb.index}",
-                                    kernel=kernel.name, tb=tb.index,
-                                    discarded=discarded, executed=executed,
-                                    idempotent=True, escalated=True,
-                                    **flush_extra)
-                    self.listener.on_tb_preempted(tb)
-                elif tech is Technique.SWITCH:
-                    self._cancel_tb_events(tb)
-                    self._draining.remove(tb)
-                    tb.halt(now)
-                    switch_bytes += tb.context_bytes
-                    newly_switched.append(tb)
-                    kernel.stats.switches += 1
-                    kernel.stats.drains -= 1
-                    self._shift_technique(record, Technique.DRAIN,
-                                          Technique.SWITCH)
-                else:
-                    raise EscalationError(
-                        f"SM{self.sm_id}: cannot escalate draining block "
-                        f"to {tech.value}", sim_time=now, sm_id=self.sm_id,
-                        kernel=kernel.name)
+                old, source, phase = Technique.DRAIN, self._draining, "draining"
+                legal = tech is Technique.FLUSH or tech is Technique.SWITCH
             elif tb in self._saving:
-                if tech is not Technique.FLUSH:
-                    raise EscalationError(
-                        f"SM{self.sm_id}: cannot escalate saving block "
-                        f"to {tech.value}", sim_time=now, sm_id=self.sm_id,
-                        kernel=kernel.name)
-                if not tb.idempotent_now:
-                    raise EscalationError(
-                        f"SM{self.sm_id}: flush-escalate past "
-                        f"non-idempotent point ({kernel.name}#{tb.index})",
-                        sim_time=now, sm_id=self.sm_id, kernel=kernel.name)
-                self._saving.remove(tb)
-                if self.tracer is not None:
-                    executed = tb.executed_insts
-                discarded = tb.flush(now)
-                kernel.stats.insts_discarded += discarded
-                kernel.stats.flushes += 1
-                kernel.stats.switches -= 1
-                kernel.note_off_sm(tb)
-                self.resident.remove(tb)
-                self._vacated.append((now, tb.rate))
-                self._shift_technique(record, Technique.SWITCH,
-                                      Technique.FLUSH)
-                record.tb_events.append(
-                    (tb.index, Technique.FLUSH.value,
-                     now - record.request_time))
-                if self.tracer is not None:
-                    flush_extra = {}
-                    if tb.nonidem_at != float("inf"):
-                        flush_extra["nonidem_at"] = tb.nonidem_at
-                    self._trace(trace_mod.FLUSH, f"{kernel.name}#{tb.index}",
-                                kernel=kernel.name, tb=tb.index,
-                                discarded=discarded, executed=executed,
-                                idempotent=True, escalated=True,
-                                **flush_extra)
-                self.listener.on_tb_preempted(tb)
+                old, source, phase = Technique.SWITCH, self._saving, "saving"
+                legal = tech is Technique.FLUSH
             else:
                 raise EscalationError(
                     f"SM{self.sm_id}: block {kernel.name}#{tb.index} is not "
                     f"in flight for this preemption",
                     sim_time=now, sm_id=self.sm_id, kernel=kernel.name)
+            if not legal:
+                raise EscalationError(
+                    f"SM{self.sm_id}: cannot escalate {phase} block "
+                    f"to {tech.value}", sim_time=now, sm_id=self.sm_id,
+                    kernel=kernel.name)
+            if tech is Technique.FLUSH and not tb.idempotent_now:
+                raise EscalationError(
+                    f"SM{self.sm_id}: flush-escalate past "
+                    f"non-idempotent point ({kernel.name}#{tb.index})",
+                    sim_time=now, sm_id=self.sm_id, kernel=kernel.name)
+            source.remove(tb)
+            self._shift_technique(record, old, tech)
+            if tech is Technique.FLUSH:
+                self._flush(tb, now, escalated=True)
+            else:
+                switched.append(tb)
         record.escalations += len(assignments)
-        if newly_switched:
-            self._start_save(newly_switched, switch_bytes)
+        if switched:
+            self._start_save(switched, now)
         self._maybe_release()
 
     @staticmethod

@@ -23,15 +23,16 @@ entry key and the reason, so silent data loss is visible. Call
 Entries are sharded into two-hex-prefix subdirectories
 (``<dir>/<key[:2]>/<key>.pkl``): a 100k-spec sweep would otherwise put
 100k files in one directory, which large filesystems handle poorly and
-directory listings handle worse. Caches written by older versions used
-a flat layout; reads fall back to the flat path transparently and
-migrate the entry into its shard on first touch, so a legacy cache
-keeps hitting and converges to the sharded layout as it is used.
+directory listings handle worse.
 
 A cache on a read-only mount (CI images, shared NFS baselines) degrades
-instead of failing: legacy entries are served in place when the
-shard migration cannot write, and ``put()`` becomes a logged no-op.
-Either way the condition is logged exactly once per process.
+instead of failing: entries are still served, and ``put()`` becomes a
+no-op, logged exactly once per process.
+
+While the active fault plan (:mod:`repro.harness.faults`) injects a
+sim-level fault (``stall-drain``, ``corrupt-estimate``), runs do not
+produce their spec's result, so the cache acts as disabled: a faulted
+result is never stored, and no clean entry is served to a faulted run.
 """
 
 from __future__ import annotations
@@ -97,30 +98,18 @@ class ResultCache:
         """Filesystem path of the entry for ``key`` (sharded layout)."""
         return self.directory / key[:2] / f"{key}.pkl"
 
-    def legacy_path_for(self, key: str) -> Path:
-        """Pre-sharding flat path of the entry for ``key``. Only read
-        (and migrated away from), never written."""
-        return self.directory / f"{key}.pkl"
-
     def get(self, key: str) -> Optional[CacheEntry]:
         """Load an entry, or None on a miss.
 
         A corrupted entry (truncated pickle, stale class layout, wrong
         key) is deleted, logged once with the reason, and reported as a
-        miss. An entry found only at its legacy flat path is served and
-        moved into its shard directory.
+        miss.
         """
-        if not self.enabled:
+        if not self.enabled or faults.alters_results():
             return None
         path = self.path_for(key)
-        migrate_from: Optional[Path] = None
         try:
-            try:
-                fh = path.open("rb")
-            except FileNotFoundError:
-                migrate_from = path = self.legacy_path_for(key)
-                fh = path.open("rb")
-            with fh:
+            with path.open("rb") as fh:
                 entry = pickle.load(fh)
         except FileNotFoundError:
             return None
@@ -137,8 +126,6 @@ class ResultCache:
                 getattr(entry, "key", "<missing>"))
             self._discard(path)
             return None
-        if migrate_from is not None:
-            self._migrate(key, migrate_from)
         return entry
 
     def _note_readonly(self, action: str, exc: OSError) -> None:
@@ -146,32 +133,9 @@ class ResultCache:
         if not self._readonly:
             logger.warning(
                 "cache directory %s is not writable (%s while trying to "
-                "%s); serving existing entries in place, skipping writes",
+                "%s); serving existing entries, skipping writes",
                 self.directory, exc, action)
         self._readonly = True
-
-    def _migrate(self, key: str, legacy: Path) -> None:
-        """Move a legacy flat entry into its shard directory.
-
-        Best-effort: a migration that loses a race (another process
-        already moved or rewrote the entry) or hits a filesystem error
-        leaves the entry readable where it is and tries again on the
-        next touch. On a read-only mount the flat entry is simply served
-        in place, logged once, and no further migrations are attempted.
-        """
-        if self._readonly:
-            return
-        target = self.path_for(key)
-        try:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, target)
-        except OSError as exc:
-            if _is_readonly_error(exc):
-                self._note_readonly(f"migrate entry {key} into its shard",
-                                    exc)
-                return
-            logger.warning("could not migrate cache entry %s into shard: %s",
-                           key, exc)
 
     def put(self, key: str, result: Any, duration_s: float) -> None:
         """Store a result atomically (temp file + rename).
@@ -180,7 +144,7 @@ class ResultCache:
         once per process) instead of failing the run that computed the
         result.
         """
-        if not self.enabled or self._readonly:
+        if not self.enabled or self._readonly or faults.alters_results():
             return
         path = self.path_for(key)
         entry = CacheEntry(key=key, result=result, duration_s=duration_s)
@@ -208,15 +172,13 @@ class ResultCache:
             logger.warning("fault injection: corrupted cache entry %s", key)
 
     def clear(self) -> int:
-        """Delete every entry (sharded and legacy flat); returns how
-        many were removed."""
+        """Delete every entry; returns how many were removed."""
         if not self.directory.is_dir():
             return 0
         removed = 0
-        for pattern in ("*.pkl", "*/*.pkl"):
-            for path in self.directory.glob(pattern):
-                self._discard(path)
-                removed += 1
+        for path in self.directory.glob("*/*.pkl"):
+            self._discard(path)
+            removed += 1
         return removed
 
     @staticmethod

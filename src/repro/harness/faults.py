@@ -46,6 +46,10 @@ entity rather than a spec position:
   estimates for launch ``kernel`` come out at ``factor``× truth
   (default 0.25, i.e. a 4× under-prediction)
 
+A run under either kind does not compute its spec's result, so the
+result cache (:mod:`repro.harness.cache`) neither stores nor serves
+entries while one is active.
+
 Five more kinds target the scheduling daemon (:mod:`repro.service`), so
 its crash-recovery paths are provable the same way. ``index`` names the
 global journal record sequence number (``crash-before-commit``,
@@ -128,6 +132,9 @@ _KINDS = ("fail", "crash", "hang", "corrupt", "stall-drain",
 #: Daemon fault kinds that kill the process at a journal boundary.
 SERVICE_CRASH_KINDS = ("crash-before-commit", "crash-after-commit",
                        "torn-journal", "crash-inflight")
+
+#: Kinds that change what the simulated machine computes.
+_SIM_KINDS = ("stall-drain", "corrupt-estimate")
 
 #: Kinds whose trailing slot is a float factor, with their defaults.
 _SIM_FACTOR_DEFAULTS = {"stall-drain": 8.0, "corrupt-estimate": 0.25,
@@ -364,6 +371,18 @@ def should_corrupt_put(key: str) -> bool:
     return plan.corrupts_put(seq)
 
 
+def alters_results() -> bool:
+    """Does the active plan fault the simulated machine?
+
+    A run under ``stall-drain`` or ``corrupt-estimate`` does not compute
+    its spec's result, so the result cache must neither store nor serve
+    one. ``slow-slot`` only sleeps and leaves results alone.
+    """
+    plan = active_plan()
+    return plan is not None and any(f.kind in _SIM_KINDS
+                                    for f in plan.faults)
+
+
 def _sim_factor(kind: str, index: int) -> Optional[float]:
     plan = active_plan()
     if plan is None:
@@ -488,6 +507,7 @@ __all__ = [
     "InjectedPoolBreak",
     "SERVICE_CRASH_KINDS",
     "active_plan",
+    "alters_results",
     "clear",
     "drain_stall_factor",
     "estimate_skew",

@@ -114,10 +114,6 @@ class BenchmarkProcess:
         """Preemption-attributable waste across all launches."""
         return sum(k.stats.wasted_insts for k in self.kernels)
 
-    def preemption_count(self) -> int:
-        """SM preemptions suffered across all launches."""
-        return sum(k.stats.preemptions for k in self.kernels)
-
     def check_budget(self, now: float) -> None:
         """Latch the time the instruction budget is first reached.
 

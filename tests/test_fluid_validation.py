@@ -115,7 +115,8 @@ class TestPreemptionLatencyArithmetic:
         b = Kernel(make_spec(benchmark="NK", tbs_per_sm=2), 8, RngStreams(2))
         ks.launch_kernel(b)
         # Flush happens synchronously inside the launch.
-        n_flushed = a.stats.flushes
+        n_flushed = sum(record.techniques.get(Technique.FLUSH, 0)
+                        for record in ks.records)
         assert n_flushed > 0
         expected_discard = n_flushed * t_preempt * a.spec.tb_rate
         assert a.stats.insts_discarded == pytest.approx(expected_discard,
@@ -135,7 +136,9 @@ class TestPreemptionLatencyArithmetic:
         engine.run(until=100_000.0)
         # Each switched block stalls for the whole serialized save DMA.
         save = small_config.context_switch_cycles(2 * 10 * 1024)
-        expected = a.stats.switches * save * a.spec.tb_rate
+        switched = sum(record.techniques.get(Technique.SWITCH, 0)
+                       for record in ks.records)
+        expected = switched * save * a.spec.tb_rate
         assert a.stats.stall_insts == pytest.approx(expected, rel=1e-9)
 
 

@@ -480,6 +480,23 @@ class TestPlanEscalation:
         assert plan_escalation(scenario.sm,
                                CostEstimator(scenario.config)) == {}
 
+    def test_plans_on_progress_advanced_to_now(self):
+        """A drain that crossed its non-idempotent point since the SM
+        last advanced its blocks must plan a switch, not a flush that
+        :meth:`escalate` would then reject."""
+        scenario = Scenario("escalate", spec_overrides={"idempotent": False})
+        scenario.engine.run(until=100.0)
+        scenario.sm.advance()
+        tb = scenario.tbs[0]
+        tb.nonidem_at = tb.executed_insts + 50.0 * tb.rate
+        scenario.preempt({tb: Technique.DRAIN},
+                         budget=tb.remaining_cycles * 100)
+        scenario.engine.run(until=200.0)
+        plan = plan_escalation(scenario.sm, CostEstimator(scenario.config))
+        assert plan == {tb: Technique.SWITCH}
+        scenario.sm.escalate(plan)
+        assert tb.state.value == "frozen"
+
 
 class TestLedger:
     def test_summary_shape(self):
@@ -526,6 +543,15 @@ class TestRunnerIntegration:
                               periods=2, seed=7, config=config)
         assert result.qos["mode"] == "escalate"
         assert result.qos["preemptions"] >= 1
+
+    def test_escalation_of_a_drain_past_its_nonidempotent_point(self):
+        """FWT's drains cross their non-idempotent point between SM
+        events; escalating one must switch it instead of aborting the
+        run with an EscalationError."""
+        from repro.harness.runner import run_periodic
+        result = run_periodic("FWT", "drain", periods=3, seed=7,
+                              config=GPUConfig(qos_mode="escalate"))
+        assert result.qos["escalations"] > 0
 
     def test_figure6_7_escalate_clean_path_zero_violations(self):
         """CI qos-smoke: with no faults, escalation keeps every

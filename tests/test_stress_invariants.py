@@ -143,7 +143,6 @@ def test_random_scenarios_fcfs_baseline(scn):
 
     assert a.finished and b.finished
     assert ks.records == []
-    assert a.stats.preemptions == b.stats.preemptions == 0
     # Serialization: B starts only after A's last block retired.
     assert b.finish_time >= a.finish_time
     for kernel in (a, b):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import errno
 import logging
-import os
 import pickle
 import types
 
@@ -188,6 +187,24 @@ class TestResultCache:
         assert cache.get(spec.cache_key()) is None
         assert not path.exists()
 
+    def test_sim_faults_bypass_the_cache(self, tmp_path, monkeypatch):
+        """A run under a sim-level fault computes another result under
+        the same key: it must neither poison the cache for clean runs
+        nor be served a clean entry."""
+        spec = RunSpec.periodic("BS", "drain", periods=2, seed=3)
+        clean = dataclasses.asdict(spec.execute())
+        monkeypatch.setenv("CHIMERA_FAULTS", "stall-drain@*:8")
+        faulted = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
+        assert dataclasses.asdict(faulted.run([spec])[0]) != clean
+        monkeypatch.delenv("CHIMERA_FAULTS")
+        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
+        assert dataclasses.asdict(runner.run([spec])[0]) == clean
+        assert runner.last_stats.executed == 1
+        monkeypatch.setenv("CHIMERA_FAULTS", "stall-drain@*:8")
+        again = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
+        assert dataclasses.asdict(again.run([spec])[0]) != clean
+        assert again.last_stats.executed == 1
+
     def test_results_persist_as_each_future_completes(self, tmp_path):
         """Regression: one failing spec must not discard completed
         siblings. Results are cached as each future completes, so after
@@ -322,7 +339,7 @@ class TestTraceKnobs:
 
 
 class TestShardedCache:
-    """Two-hex-prefix cache sharding and transparent legacy migration."""
+    """Two-hex-prefix cache sharding."""
 
     def test_entries_land_in_shard_subdirectories(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -333,65 +350,14 @@ class TestShardedCache:
         assert path.is_file()
         assert path.parent.name == key[:2]
         assert path.parent.parent == cache.directory
-        # nothing left at the flat legacy location
-        assert not cache.legacy_path_for(key).exists()
-
-    def test_legacy_flat_entry_hits_and_migrates(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec.periodic("BS", "chimera", periods=PERIODS, seed=4)
-        first = SweepRunner(jobs=1, cache=cache).run([spec])[0]
-        key = spec.cache_key()
-        # Rebuild the pre-sharding layout: entry at the flat path only.
-        sharded = cache.path_for(key)
-        legacy = cache.legacy_path_for(key)
-        sharded.rename(legacy)
-        sharded.parent.rmdir()
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
-        replayed = runner.run([spec])[0]
-        assert runner.last_stats.cache_hits == 1
-        assert runner.last_stats.executed == 0
-        assert dataclasses.asdict(replayed) == dataclasses.asdict(first)
-        # the read moved the entry into its shard
-        assert sharded.is_file()
-        assert not legacy.exists()
-
-    def test_corrupt_legacy_entry_discarded_and_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        spec = RunSpec.periodic("BS", "chimera", periods=PERIODS, seed=4)
-        first = SweepRunner(jobs=1, cache=cache).run([spec])[0]
-        key = spec.cache_key()
-        cache.path_for(key).unlink()
-        cache.legacy_path_for(key).write_bytes(b"torn pickle")
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "cache"))
-        recomputed = runner.run([spec])[0]
-        assert runner.last_stats.executed == 1
-        assert not cache.legacy_path_for(key).exists()
-        assert dataclasses.asdict(recomputed) == dataclasses.asdict(first)
 
     def test_clear_removes_both_layouts(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        cache.put("aa" * 32, {"x": 1}, 0.1)          # sharded
-        legacy = cache.legacy_path_for("bb" * 32)    # hand-made legacy
-        legacy.write_bytes(pickle.dumps(CacheEntry("bb" * 32, 2, 0.1)))
+        cache.put("aa" * 32, {"x": 1}, 0.1)
+        cache.put("bb" * 32, 2, 0.1)
         assert cache.clear() == 2
         assert cache.get("aa" * 32) is None
         assert cache.get("bb" * 32) is None
-
-
-class _ReadonlyOS:
-    """Stand-in for the ``os`` module whose ``replace`` always reports a
-    read-only filesystem; everything else delegates to the real module.
-
-    The tests run as root, so ``chmod 0o555`` would not actually block
-    writes — patching the module-local binding is the reliable way to
-    simulate a read-only mount."""
-
-    def __getattr__(self, name):
-        return getattr(os, name)
-
-    @staticmethod
-    def replace(src, dst):
-        raise OSError(errno.EROFS, "Read-only file system")
 
 
 class TestReadOnlyCache:
@@ -412,28 +378,6 @@ class TestReadOnlyCache:
         assert len(notes) == 1
         assert cache._readonly
         assert cache.get(self.KEY) is None  # nothing was stored
-
-    def test_legacy_entry_served_in_place_when_migration_fails(
-            self, tmp_path, monkeypatch, caplog):
-        cache = ResultCache(tmp_path / "cache")
-        cache.put(self.KEY, {"x": 1}, 0.1)
-        # Rebuild the pre-sharding layout, then make moves impossible.
-        legacy = cache.legacy_path_for(self.KEY)
-        cache.path_for(self.KEY).rename(legacy)
-        cache.path_for(self.KEY).parent.rmdir()
-        monkeypatch.setattr("repro.harness.cache.os", _ReadonlyOS())
-        with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
-            first = cache.get(self.KEY)
-            second = cache.get(self.KEY)
-        assert first is not None and first.result == {"x": 1}
-        assert second is not None and second.result == {"x": 1}
-        assert legacy.is_file()                      # served in place
-        assert not cache.path_for(self.KEY).is_file()
-        notes = [r for r in caplog.records if "not writable" in r.message]
-        assert len(notes) == 1                       # logged exactly once
-        # writes are disabled for the rest of the process
-        cache.put("cd" * 32, {"x": 2}, 0.2)
-        assert cache.get("cd" * 32) is None
 
     def test_other_write_errors_still_raise(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
