@@ -160,6 +160,23 @@ class SimSystem:
         calibration) for this run."""
         return self.guard.summary()
 
+    def close(self) -> None:
+        """Break the run's reference cycles, once its result is built.
+
+        A wired system is cyclic: the two schedulers point at each
+        other, every SM points back at its listener, a pending event's
+        callback holds what scheduled it, a resident block and its
+        kernel's live-block map point at each other, and the callbacks
+        of active kernels hold the runner's closures. Reference counting
+        frees none of that, so the whole graph would wait for a full
+        collection, and back-to-back runs in one process would each run
+        beside the last one's. With those edges cut, what is left is
+        freed as soon as the last reference to the system goes. The
+        system cannot run afterwards.
+        """
+        self.engine.clear()
+        self.kernel_scheduler.close()
+
 
 # ----------------------------------------------------------------------
 # results
@@ -237,8 +254,10 @@ def run_solo(label: str, budget_insts: float, seed: int = 12345,
     system.run(stop=lambda: process.done_recording)
     if process.metric_time is None:
         raise SimulationError(f"solo run of {label} never reached its target")
-    return SoloResult(label, process.metric_time,
-                      process.useful_insts(system.engine.now), seed)
+    result = SoloResult(label, process.metric_time,
+                        process.useful_insts(system.engine.now), seed)
+    system.close()
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +303,7 @@ def run_pair(workload: MultiprogramWorkload, policy_name: Optional[str],
         times[process.label] = process.metric_time
         waste[process.label] = process.wasted_insts()
         useful[process.label] = process.useful_insts(now)
-    return PairResult(
+    result = PairResult(
         workload_name=workload.name,
         policy=policy_name or mode.value,
         metric_time_cycles=times,
@@ -294,6 +313,8 @@ def run_pair(workload: MultiprogramWorkload, policy_name: Optional[str],
         technique_mix=system.technique_mix(),
         qos=system.qos_summary(),
     )
+    system.close()
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -384,7 +405,7 @@ def run_periodic(label: str, policy_name: str,
     useful = process.useful_insts(now)
     wasted = process.wasted_insts()
     overhead = wasted / useful if useful > 0 else 0.0
-    return PeriodicResult(
+    result = PeriodicResult(
         label=label,
         policy=policy_name,
         constraint_us=constraint_us,
@@ -396,3 +417,5 @@ def run_periodic(label: str, policy_name: str,
         periods=periods,
         qos=system.qos_summary(),
     )
+    system.close()
+    return result

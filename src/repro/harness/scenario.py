@@ -34,7 +34,8 @@ stretched completion times.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.gpu.config import GPUConfig
@@ -42,6 +43,7 @@ from repro.gpu.kernel import Kernel
 from repro.harness.runner import MAX_HORIZON_MS, SimSystem
 from repro.metrics.slo import ArrivalOutcome, slo_report
 from repro.sim import trace as trace_mod
+from repro.sim.engine import Engine
 from repro.sim.trace import Tracer
 from repro.units import cycles_to_us
 from repro.workloads.specs import kernel_spec
@@ -135,6 +137,40 @@ def _isolated_us(spec_label: str, grid_tbs: int,
     return waves * spec.mean_tb_exec_us
 
 
+class _ArrivalChain:
+    """Fires a stream's arrivals at their timestamps, one at a time.
+
+    Each arrival schedules the next *before* it is handed on, so the
+    engine holds at most one pending arrival event and the chain
+    survives anything the launch does. ``schedule_at_exact`` pins the
+    precomputed timestamp bit-identically to the old
+    schedule-everything-at-t=0 form. The pending event holds a bound
+    method, not a closure that schedules itself: such a closure holds
+    itself through its own cell, a cycle only a full collection frees.
+    """
+
+    __slots__ = ("engine", "config", "stream", "on_arrival")
+
+    def __init__(self, engine: Engine, config: GPUConfig,
+                 stream: List[Arrival],
+                 on_arrival: Callable[[Arrival], None]):
+        self.engine = engine
+        self.config = config
+        self.stream = stream
+        self.on_arrival = on_arrival
+
+    def schedule(self, index: int) -> None:
+        arrival = self.stream[index]
+        self.engine.schedule_at_exact(
+            self.config.us(arrival.t_us), partial(self.fire, index),
+            f"traffic-arrival-{arrival.seq}")
+
+    def fire(self, index: int) -> None:
+        if index + 1 < len(self.stream):
+            self.schedule(index + 1)
+        self.on_arrival(self.stream[index])
+
+
 def run_traffic(scenario: ScenarioSpec,
                 policy_name: str = "chimera",
                 seed: int = 12345,
@@ -161,6 +197,7 @@ def run_traffic(scenario: ScenarioSpec,
         tracer.meta.setdefault("scenario_tenants",
                                [t.name for t in scenario.tenants])
     stream = scenario.stream(seed)
+    engine = system.engine
     # Arrival bookkeeping is materialized lazily, at launch time: a
     # 100k-arrival stream costs two pointer arrays up front, not 100k
     # state dicts, grids, and pending events before the first fire.
@@ -173,19 +210,21 @@ def run_traffic(scenario: ScenarioSpec,
         kernel = Kernel(kernel_spec(arrival.kernel), grid_tbs, system.rng,
                         name=f"ARR{arrival.seq}.{arrival.tenant}",
                         clock_mhz=config.clock_mhz)
-        t0 = system.engine.now
+        t0 = engine.now
         if tracer is not None:
             tracer.emit(t0, trace_mod.ARRIVAL,
                         f"{arrival.tenant}#{arrival.seq} {arrival.kernel}",
                         tenant=arrival.tenant, seq=arrival.seq,
                         kern=arrival.kernel, prio=arrival.priority)
 
+        # The scheduler holds these two while the kernel is active, so
+        # they refer to the engine, not to the system that holds the
+        # scheduler.
         def on_full(_k: Kernel) -> None:
-            state["dispatch"] = cycles_to_us(system.engine.now,
-                                             config.clock_mhz)
+            state["dispatch"] = cycles_to_us(engine.now, config.clock_mhz)
 
         def on_done(_k: Kernel) -> None:
-            now = system.engine.now
+            now = engine.now
             state["finish"] = cycles_to_us(now, config.clock_mhz)
             finished[0] += 1
             if tracer is not None:
@@ -200,18 +239,7 @@ def run_traffic(scenario: ScenarioSpec,
             kernel, on_finished=on_done, on_fully_dispatched=on_full,
             weight=1.0 + max(0, arrival.priority))
 
-    def fire(index: int) -> None:
-        # Chain: each arrival schedules the next *before* launching, so
-        # the engine holds at most one pending arrival event and the
-        # chain survives anything launch() does. ``schedule_at_exact``
-        # pins the precomputed timestamp bit-identically to the old
-        # schedule-everything-at-t=0 form.
-        if index + 1 < len(stream):
-            nxt = stream[index + 1]
-            system.engine.schedule_at_exact(
-                config.us(nxt.t_us), lambda: fire(index + 1),
-                f"traffic-arrival-{nxt.seq}")
-        arrival = stream[index]
+    def arrive(arrival: Arrival) -> None:
         grid = system.factory.grid_for(kernel_spec(arrival.kernel))
         grids[arrival.seq] = grid
         state: Dict[str, Optional[float]] = {"dispatch": None,
@@ -220,9 +248,7 @@ def run_traffic(scenario: ScenarioSpec,
         launch(arrival, state, grid)
 
     if stream:
-        system.engine.schedule_at_exact(
-            config.us(stream[0].t_us), lambda: fire(0),
-            f"traffic-arrival-{stream[0].seq}")
+        _ArrivalChain(engine, config, stream, arrive).schedule(0)
 
     system.start()
     system.run(horizon_ms=scenario.total_us / 1000.0,
@@ -251,8 +277,10 @@ def run_traffic(scenario: ScenarioSpec,
                   for r in system.records]
     report = slo_report(outcomes, preempt_us, scenario.total_us,
                         window_us=scenario.window_us)
-    return TrafficResult(
+    result = TrafficResult(
         policy=policy_name, seed=seed, horizon_us=scenario.total_us,
         outcomes=outcomes, slo=report,
         preemption_records=len(system.records),
         qos=system.qos_summary())
+    system.close()
+    return result

@@ -31,7 +31,7 @@ from repro.gpu.gpu import GPU
 from repro.gpu.kernel import Kernel
 from repro.gpu.sm import PreemptionRecord, SMState, StreamingMultiprocessor
 from repro.sched.guard import PreemptionGuard
-from repro.sched.policy import KernelDemand, compute_partition
+from repro.sched.policy import PartitionOrder, compute_partition
 from repro.sched.process import BenchmarkProcess
 from repro.sched.tb_scheduler import ThreadBlockScheduler
 from repro.sim.engine import Engine
@@ -65,9 +65,6 @@ class ActiveKernel:
     seq: int = field(default=0, compare=False)
     #: Blocks the kernel can keep resident on one SM.
     tbs_per_sm: int = field(default=1, compare=False)
-    #: The demand last handed to the partition, rebuilt only when the
-    #: kernel's SM need changes (see KernelScheduler._targets).
-    demand: Optional[KernelDemand] = field(default=None, compare=False)
 
 
 class KernelScheduler:
@@ -90,6 +87,11 @@ class KernelScheduler:
         self.latency_limit_cycles = config.us(latency_limit_us)
         self._gpu: Optional[GPU] = None
         self._active: Dict[int, ActiveKernel] = {}
+        #: The active kernels in partition order, with the SM need last
+        #: read for each (see _targets).
+        self._order = PartitionOrder()
+        #: Kernels assigned an SM since their need was last read.
+        self._stale: Dict[int, ActiveKernel] = {}
         self._processes: List[BenchmarkProcess] = []
         self._fcfs_queue: List[ActiveKernel] = []
         self._fcfs_running: Optional[ActiveKernel] = None
@@ -129,6 +131,19 @@ class KernelScheduler:
         if self._gpu is None:
             raise SchedulingError("kernel scheduler has no GPU attached")
         return self._gpu
+
+    def close(self) -> None:
+        """Break the cycles through this scheduler once the run is over
+        (:meth:`~repro.harness.runner.SimSystem.close`): resident
+        blocks and their kernels' live-block maps, the active kernels'
+        callbacks (which hold the runner's closures), and the link
+        from the thread-block scheduler back to this one."""
+        for sm in self.gpu.sms:
+            if sm.kernel is not None:
+                sm.kernel._live.clear()
+        self._active.clear()
+        self._stale.clear()
+        self.tb_scheduler.attach(None)
 
     # ------------------------------------------------------------------
     # processes and launches
@@ -172,6 +187,8 @@ class KernelScheduler:
             weight=weight, seq=self._launches,
             tbs_per_sm=min(kernel.spec.tbs_per_sm,
                            self.config.max_tbs_per_sm))
+        self._order.add(kernel.kernel_id, self._needed_sms(entry),
+                        fixed_demand, weight)
         self._launches += 1
         self._active[kernel.kernel_id] = entry
         if self.tracer is not None:
@@ -189,6 +206,7 @@ class KernelScheduler:
         entry = self._active.pop(kernel.kernel_id, None)
         if entry is None:
             return
+        self._retire(kernel)
         kernel.finish_time = self.engine.now
         if self.tracer is not None:
             self._trace(trace_mod.KILL, kernel.name, kernel=kernel.name,
@@ -222,6 +240,7 @@ class KernelScheduler:
         entry = self._active.pop(kernel.kernel_id, None)
         if entry is None:
             return  # already handled (e.g. killed)
+        self._retire(kernel)
         kernel.finish_time = self.engine.now
         if self.tracer is not None:
             self._trace(trace_mod.FINISH, kernel.name, kernel=kernel.name,
@@ -297,31 +316,43 @@ class KernelScheduler:
         unfinished = entry.kernel.grid_tbs - entry.kernel.stats.tbs_completed
         return -(-unfinished // entry.tbs_per_sm)  # ceil division
 
+    def _retire(self, kernel: Kernel) -> None:
+        """Take a kernel that left ``_active`` out of the partition."""
+        self._order.remove(kernel.kernel_id)
+        self._stale.pop(kernel.kernel_id, None)
+
+    def _assign(self, sm: StreamingMultiprocessor,
+                entry: ActiveKernel) -> None:
+        """Bind an idle SM to a kernel; its SM need may change from now."""
+        sm.assign(entry.kernel)
+        self._stale[entry.kernel.kernel_id] = entry
+
     def _targets(self) -> Dict[int, int]:
-        """Partition targets over every active kernel, in launch order.
+        """The nonzero partition targets, in launch order.
 
-        Runs on every scheduling event with every active kernel, so each
-        kernel's demand is cached and rebuilt only when its SM need
-        (:meth:`_needed_sms`, inlined) changed. The need only shrinks, as
-        completed blocks only grow, and a queued kernel's never moves.
+        Runs on every scheduling event with every active kernel in the
+        order, so only kernels whose SM need can have changed are read
+        again (:meth:`_needed_sms`, inlined). The need shrinks only as
+        blocks retire, a block retires only while it is resident on an
+        SM its kernel holds, and only this scheduler assigns SMs
+        (:meth:`_assign`), which marks the kernel stale. A stale kernel
+        is read on every call while it holds an SM, in any state (a
+        preempting SM's drained blocks retire too), and stops being
+        stale at the first read after it holds none: that read saw its
+        last retirement. A queued kernel is never read again.
         """
-        demands: List[KernelDemand] = []
-        for kid, entry in self._active.items():
-            kernel = entry.kernel
-            needed = -(-(kernel.grid_tbs - kernel.stats.tbs_completed)
-                       // entry.tbs_per_sm)
-            demand = entry.demand
-            if demand is None or demand.needed_sms != needed:
-                demand = entry.demand = KernelDemand(
-                    kid, needed, entry.fixed_demand, weight=entry.weight)
-            demands.append(demand)
-        return compute_partition(demands, self.config.num_sms)
-
-    @staticmethod
-    def _nonzero(targets: Dict[int, int]) -> Dict[int, int]:
-        """The kernels a partition grants SMs, in its (launch) order:
-        at most one per SM, however many kernels are queued."""
-        return {kid: target for kid, target in targets.items() if target}
+        stale = self._stale
+        if stale:
+            order = self._order
+            held = {sm.kernel for sm in self.gpu.sms}
+            for kid, entry in list(stale.items()):
+                kernel = entry.kernel
+                order.set_need(kid, -(-(kernel.grid_tbs
+                                        - kernel.stats.tbs_completed)
+                                      // entry.tbs_per_sm))
+                if kernel not in held:
+                    del stale[kid]
+        return compute_partition(self._order, self.config.num_sms)
 
     def _effective_counts(self) -> Dict[int, int]:
         """SMs each active kernel holds outside a preemption; kernels
@@ -357,7 +388,7 @@ class KernelScheduler:
     def _converge(self) -> None:
         # Kernels that neither get a target nor hold an SM take no part
         # in either step, so both visit only the few that do.
-        targets = self._nonzero(self._targets())
+        targets = self._targets()
         # Step 1: hand idle SMs to kernels below target.
         for sm in self.gpu.idle_sms():
             self._place(sm, targets)
@@ -424,7 +455,7 @@ class KernelScheduler:
         """Try to assign one idle SM to the neediest kernel.
 
         ``targets`` holds the nonzero partition targets in launch order
-        (:meth:`_nonzero`); a kernel with none cannot be below it.
+        (:meth:`_targets`); a kernel with none cannot be below it.
         """
         counts = self._effective_counts()
         candidates = sorted(
@@ -438,7 +469,7 @@ class KernelScheduler:
             entry = self._active.get(kid)
             if entry is None or not self.tb_scheduler.has_work(entry.kernel):
                 continue
-            sm.assign(entry.kernel)
+            self._assign(sm, entry)
             self.tb_scheduler.fill(sm)
             if sm.resident:
                 return
@@ -451,7 +482,7 @@ class KernelScheduler:
         if self.mode is SchedulerMode.FCFS:
             self._fcfs_fill_running(sm)
             return
-        self._place(sm, self._nonzero(self._targets()))
+        self._place(sm, self._targets())
 
     # ------------------------------------------------------------------
     # FCFS baseline
@@ -462,10 +493,9 @@ class KernelScheduler:
             return
         entry = self._fcfs_queue.pop(0)
         self._fcfs_running = entry
-        kernel = entry.kernel
         grant = min(self._needed_sms(entry), self.config.num_sms)
         for sm in self.gpu.idle_sms()[:grant]:
-            sm.assign(kernel)
+            self._assign(sm, entry)
             self.tb_scheduler.fill(sm)
 
     def _fcfs_fill_running(self, sm: StreamingMultiprocessor) -> None:
@@ -476,7 +506,7 @@ class KernelScheduler:
             return
         if not self.tb_scheduler.has_work(entry.kernel):
             return
-        sm.assign(entry.kernel)
+        self._assign(sm, entry)
         self.tb_scheduler.fill(sm)
         if not sm.resident:
             sm.unassign()

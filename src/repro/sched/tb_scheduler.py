@@ -30,8 +30,9 @@ class ThreadBlockScheduler:
         self._preempted: Dict[int, Deque[ThreadBlock]] = {}
         self._kernel_scheduler: Optional["KernelScheduler"] = None
 
-    def attach(self, kernel_scheduler: "KernelScheduler") -> None:
-        """Bind the kernel scheduler this dispatcher reports to."""
+    def attach(self, kernel_scheduler: Optional["KernelScheduler"]) -> None:
+        """Bind the kernel scheduler this dispatcher reports to (None
+        unbinds it)."""
         self._kernel_scheduler = kernel_scheduler
 
     @property

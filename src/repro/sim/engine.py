@@ -145,6 +145,19 @@ class Engine:
         self._live += 1
         return event
 
+    def clear(self) -> None:
+        """Drop every pending event, and each one's callback with it.
+
+        For a finished run: a pending callback usually holds the
+        component that scheduled it, which often holds the event, so
+        dropping the callback breaks that cycle even where the event
+        itself stays referenced.
+        """
+        for _, _, event in self._queue:
+            event.callback = None
+        self._queue.clear()
+        self._live = 0
+
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         while self._queue and self._queue[0][2].cancelled:

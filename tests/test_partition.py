@@ -2,87 +2,118 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple, Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
-from repro.sched.policy import KernelDemand, compute_partition
+from repro.sched.policy import PartitionOrder, compute_partition
+
+
+class Demand(NamedTuple):
+    """One kernel's appetite for SMs, as the reference reads it."""
+
+    key: int
+    needed_sms: int
+    fixed_demand: Optional[int] = None
+    weight: float = 1.0
+
+
+def order_of(demands) -> PartitionOrder:
+    """A partition order holding ``demands``, launched in list order."""
+    order = PartitionOrder()
+    for d in demands:
+        order.add(d.key, d.needed_sms, d.fixed_demand, d.weight)
+    return order
+
+
+def partition(demands, num_sms):
+    """The walk over ``demands`` launched in list order."""
+    return compute_partition(order_of(demands), num_sms)
 
 
 def test_even_split_two_kernels():
-    demands = [KernelDemand(1, 30), KernelDemand(2, 30)]
-    assert compute_partition(demands, 30) == {1: 15, 2: 15}
+    demands = [Demand(1, 30), Demand(2, 30)]
+    assert partition(demands, 30) == {1: 15, 2: 15}
 
 
 def test_single_kernel_takes_what_it_needs():
-    assert compute_partition([KernelDemand(1, 12)], 30) == {1: 12}
+    assert partition([Demand(1, 12)], 30) == {1: 12}
 
 
 def test_size_bound_kernel_leaves_sms_for_others():
     """Paper: a size-bound kernel requests fewer than the even split;
     the remainder goes to the other kernel."""
-    demands = [KernelDemand(1, 4), KernelDemand(2, 30)]
-    assert compute_partition(demands, 30) == {1: 4, 2: 26}
+    demands = [Demand(1, 4), Demand(2, 30)]
+    assert partition(demands, 30) == {1: 4, 2: 26}
 
 
 def test_both_size_bound_leaves_idle():
-    demands = [KernelDemand(1, 3), KernelDemand(2, 5)]
-    targets = compute_partition(demands, 30)
+    demands = [Demand(1, 3), Demand(2, 5)]
+    targets = partition(demands, 30)
     assert targets == {1: 3, 2: 5}
     assert sum(targets.values()) < 30
 
 
 def test_fixed_demand_served_first():
-    demands = [KernelDemand(1, 30, fixed_demand=15), KernelDemand(2, 30)]
-    assert compute_partition(demands, 30) == {1: 15, 2: 15}
+    demands = [Demand(1, 30, fixed_demand=15), Demand(2, 30)]
+    assert partition(demands, 30) == {1: 15, 2: 15}
 
 
 def test_fixed_demand_capped_by_need():
-    demands = [KernelDemand(1, 3, fixed_demand=15), KernelDemand(2, 30)]
-    assert compute_partition(demands, 30) == {1: 3, 2: 27}
+    demands = [Demand(1, 3, fixed_demand=15), Demand(2, 30)]
+    assert partition(demands, 30) == {1: 3, 2: 27}
 
 
 def test_fixed_demand_capped_by_machine():
-    demands = [KernelDemand(1, 40, fixed_demand=40)]
-    assert compute_partition(demands, 30) == {1: 30}
+    demands = [Demand(1, 40, fixed_demand=40)]
+    assert partition(demands, 30) == {1: 30}
 
 
 def test_odd_split_distributes_remainder():
-    demands = [KernelDemand(1, 30), KernelDemand(2, 30), KernelDemand(3, 30)]
-    targets = compute_partition(demands, 31)
+    demands = [Demand(1, 30), Demand(2, 30), Demand(3, 30)]
+    targets = partition(demands, 31)
     assert sum(targets.values()) == 31
     assert sorted(targets.values()) == [10, 10, 11]
 
 
 def test_no_kernels():
-    assert compute_partition([], 30) == {}
+    assert partition([], 30) == {}
 
 
 def test_zero_sms():
-    assert compute_partition([KernelDemand(1, 5)], 0) == {1: 0}
+    """Nobody gets an SM, so the result names nobody."""
+    assert partition([Demand(1, 5)], 0) == {}
 
 
 def test_duplicate_keys_rejected():
-    with pytest.raises(SchedulingError):
-        compute_partition([KernelDemand(1, 5), KernelDemand(1, 3)], 30)
+    order = order_of([Demand(1, 5)])
+    with pytest.raises(SchedulingError, match="duplicate kernel key 1"):
+        order.add(1, 3)
+    assert len(order) == 1
 
 
 def test_negative_need_rejected():
-    with pytest.raises(SchedulingError):
-        KernelDemand(1, -1)
+    with pytest.raises(SchedulingError, match="needed_sms"):
+        PartitionOrder().add(1, -1)
+    order = order_of([Demand(1, 5)])
+    with pytest.raises(SchedulingError, match="needed_sms"):
+        order.set_need(1, -1)
 
 
 def test_negative_num_sms_rejected():
-    with pytest.raises(SchedulingError):
-        compute_partition([KernelDemand(1, 5)], -1)
+    with pytest.raises(SchedulingError, match="num_sms"):
+        partition([Demand(1, 5)], -1)
 
 
 def test_every_kernel_gets_at_least_one_sm_when_possible():
     """Starvation avoidance (paper §2.1): with enough SMs, every kernel
     that has work receives at least one."""
-    demands = [KernelDemand(i, 30) for i in range(5)]
-    targets = compute_partition(demands, 30)
+    demands = [Demand(i, 30) for i in range(5)]
+    targets = partition(demands, 30)
+    assert sorted(targets) == list(range(5))
     assert all(v >= 1 for v in targets.values())
 
 
@@ -92,16 +123,17 @@ def test_every_kernel_gets_at_least_one_sm_when_possible():
     num_sms=st.integers(0, 64),
 )
 def test_partition_invariants(needs, num_sms):
-    demands = [KernelDemand(i, n) for i, n in enumerate(needs)]
-    targets = compute_partition(demands, num_sms)
+    demands = [Demand(i, n) for i, n in enumerate(needs)]
+    targets = partition(demands, num_sms)
     # Never allocate more than available or more than needed.
     assert sum(targets.values()) <= num_sms
     for demand in demands:
-        assert 0 <= targets[demand.key] <= demand.needed_sms
+        assert 0 <= targets.get(demand.key, 0) <= demand.needed_sms
+    assert 0 not in targets.values()
     # Work-conserving: if SMs stay idle, every kernel is saturated.
     if sum(targets.values()) < num_sms:
         for demand in demands:
-            assert targets[demand.key] == demand.needed_sms
+            assert targets.get(demand.key, 0) == demand.needed_sms
 
 
 @settings(max_examples=60, deadline=None)
@@ -112,47 +144,54 @@ def test_partition_invariants(needs, num_sms):
 def test_partition_fairness(needs, num_sms):
     """No kernel ends more than one SM below another that is not
     saturated (even split up to size-bound caps)."""
-    demands = [KernelDemand(i, n) for i, n in enumerate(needs)]
-    targets = compute_partition(demands, num_sms)
-    unsaturated = [d for d in demands if targets[d.key] < d.needed_sms]
+    demands = [Demand(i, n) for i, n in enumerate(needs)]
+    targets = partition(demands, num_sms)
+    unsaturated = [targets.get(d.key, 0) for d in demands
+                   if targets.get(d.key, 0) < d.needed_sms]
     for a in unsaturated:
         for b in unsaturated:
-            assert abs(targets[a.key] - targets[b.key]) <= 1
+            assert abs(a - b) <= 1
 
 
 class TestWeightedPartition:
     """Priority-proportional sharing (weight=1 reproduces even split)."""
 
     def test_equal_weights_match_even_split(self):
-        even = compute_partition(
-            [KernelDemand(1, 30), KernelDemand(2, 30)], 30)
-        weighted = compute_partition(
-            [KernelDemand(1, 30, weight=2.0), KernelDemand(2, 30, weight=2.0)],
-            30)
+        even = partition([Demand(1, 30), Demand(2, 30)], 30)
+        weighted = partition(
+            [Demand(1, 30, weight=2.0), Demand(2, 30, weight=2.0)], 30)
         assert even == weighted
 
     def test_double_weight_doubles_share(self):
-        targets = compute_partition(
-            [KernelDemand(1, 30, weight=2.0), KernelDemand(2, 30, weight=1.0)],
-            30)
+        targets = partition(
+            [Demand(1, 30, weight=2.0), Demand(2, 30, weight=1.0)], 30)
         assert targets == {1: 20, 2: 10}
 
     def test_weighted_respects_size_bound(self):
-        targets = compute_partition(
-            [KernelDemand(1, 5, weight=10.0), KernelDemand(2, 30, weight=1.0)],
-            30)
+        targets = partition(
+            [Demand(1, 5, weight=10.0), Demand(2, 30, weight=1.0)], 30)
         assert targets == {1: 5, 2: 25}
 
     def test_remainder_goes_to_heaviest(self):
-        targets = compute_partition(
-            [KernelDemand(1, 31, weight=3.0), KernelDemand(2, 31, weight=1.0)],
-            31)
+        targets = partition(
+            [Demand(1, 31, weight=3.0), Demand(2, 31, weight=1.0)], 31)
         assert targets[1] > targets[2]
         assert sum(targets.values()) == 31
 
+    def test_round_robin_repeats_passes(self):
+        """A rounded weight sum can leave more SMs after the water-fill
+        than kernels that can take one: the round-robin then runs pass
+        after pass. Here ``1 + w`` rounds up, so the light kernel's
+        share is 12 of 20, and it takes the other 8 one pass at a
+        time."""
+        demands = [Demand(0, 1), Demand(1, 100, weight=0.6 * 2.0 ** -52)]
+        assert partition(demands, 21) == {0: 1, 1: 20}
+        assert partition(demands, 21) == reference_nonzero(demands, 21)
+
     def test_invalid_weight_rejected(self):
-        with pytest.raises(SchedulingError):
-            KernelDemand(1, 5, weight=0.0)
+        for weight in (0.0, float("nan"), float("inf")):
+            with pytest.raises(SchedulingError, match="weight"):
+                PartitionOrder().add(1, 5, weight=weight)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -161,15 +200,15 @@ class TestWeightedPartition:
         num_sms=st.integers(0, 64),
     )
     def test_weighted_invariants(self, needs, weights, num_sms):
-        demands = [KernelDemand(i, n, weight=weights[i])
+        demands = [Demand(i, n, weight=weights[i])
                    for i, n in enumerate(needs)]
-        targets = compute_partition(demands, num_sms)
+        targets = partition(demands, num_sms)
         assert sum(targets.values()) <= num_sms
         for demand in demands:
-            assert 0 <= targets[demand.key] <= demand.needed_sms
+            assert 0 <= targets.get(demand.key, 0) <= demand.needed_sms
         if sum(targets.values()) < num_sms:
             for demand in demands:
-                assert targets[demand.key] == demand.needed_sms
+                assert targets.get(demand.key, 0) == demand.needed_sms
 
 
 # ----------------------------------------------------------------------
@@ -179,9 +218,10 @@ class TestWeightedPartition:
 
 def reference_partition(demands, num_sms):
     """The straightforward water-fill, kept as the oracle for
-    :func:`compute_partition`: per-element lambdas, a full re-sort of
-    the hungry kernels every round-robin pass, and a write for every
-    kernel whether or not it gets an SM."""
+    :func:`compute_partition`: a sort of every kernel per call,
+    per-element lambdas, a full re-sort of the hungry kernels every
+    round-robin pass, and a target for every kernel whether or not it
+    gets an SM."""
     if num_sms < 0:
         raise SchedulingError("num_sms must be non-negative")
     targets = {d.key: 0 for d in demands}
@@ -220,13 +260,23 @@ def reference_partition(demands, num_sms):
     return targets
 
 
+def reference_nonzero(demands, num_sms):
+    """The reference's nonzero targets, in its (list) order."""
+    return {key: target
+            for key, target in reference_partition(demands, num_sms).items()
+            if target}
+
+
 def _outcome(fn, demands, num_sms):
-    """``fn``'s result as (key order, values), or its error."""
+    """``fn``'s result as its (key, target) items in order, or "error".
+    The walk rejects a repeated key when the kernel enters and the
+    reference when it partitions, so only the fact of an error is
+    compared; the unit tests above pin each message."""
     try:
         targets = fn(demands, num_sms)
-    except SchedulingError as exc:
-        return ("error", str(exc))
-    return ("ok", list(targets.items()))
+    except SchedulingError:
+        return "error"
+    return list(targets.items())
 
 
 #: Weights as the scheduler sees them (1 + tenant priority) plus
@@ -236,12 +286,12 @@ WEIGHTS = st.one_of(TIED_WEIGHTS, st.floats(0.05, 20.0))
 
 
 def _check_against_reference(rows, num_sms, repeat=None):
-    demands = [KernelDemand(key, need, fixed, weight=weight)
+    demands = [Demand(key, need, fixed, weight=weight)
                for key, (need, fixed, weight) in enumerate(rows)]
     if repeat is not None and demands:
         demands.append(demands[repeat % len(demands)])
-    assert (_outcome(compute_partition, demands, num_sms)
-            == _outcome(reference_partition, demands, num_sms))
+    assert (_outcome(partition, demands, num_sms)
+            == _outcome(reference_nonzero, demands, num_sms))
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,8 +302,9 @@ def _check_against_reference(rows, num_sms, repeat=None):
        num_sms=st.integers(-2, 64),
        repeat=st.one_of(st.none(), st.integers(0, 299)))
 def test_matches_reference(rows, num_sms, repeat):
-    """Same dict, same key order and same errors (a repeated key, a
-    negative machine) as the reference, up to 300 kernels."""
+    """The reference's nonzero targets in its key order, and an error
+    where it errs (a repeated key, a negative machine), up to 300
+    kernels."""
     _check_against_reference(rows, num_sms, repeat)
 
 
@@ -266,15 +317,69 @@ def test_matches_reference(rows, num_sms, repeat):
 def test_matches_reference_on_ties(rows, num_sms):
     """Few kernels with tied needs and weights: the regime where SMs
     are left over for the round-robin, so its heaviest-first order and
-    both sorts' tie-breaks decide the result."""
+    both orders' tie-breaks decide the result."""
     _check_against_reference(rows, num_sms)
 
 
 @pytest.mark.parametrize("bad", [dict(fixed_demand=-1), dict(weight=-0.3)])
 def test_demand_validation(bad):
     """The cases ``test_negative_need_rejected`` and
-    ``test_invalid_weight_rejected`` leave out."""
+    ``test_invalid_weight_rejected`` leave out; a rejected kernel does
+    not enter."""
     fields = dict(key=1, needed_sms=4, fixed_demand=None, weight=1.0)
     fields.update(bad)
+    order = PartitionOrder()
     with pytest.raises(SchedulingError):
-        KernelDemand(**fields)
+        order.add(**fields)
+    assert len(order) == 0
+
+
+# ----------------------------------------------------------------------
+# the order as kernels launch, retire blocks, finish and die
+# ----------------------------------------------------------------------
+
+LAUNCH = st.tuples(st.just("launch"), st.integers(0, 40),
+                   st.one_of(st.none(), st.none(), st.integers(0, 6)),
+                   WEIGHTS)
+SHRINK = st.tuples(st.just("shrink"), st.integers(0, 10 ** 6),
+                   st.integers(1, 12))
+FINISH = st.tuples(st.just("finish"), st.integers(0, 10 ** 6))
+KILL = st.tuples(st.just("kill"), st.integers(0, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.one_of(LAUNCH, LAUNCH, SHRINK, SHRINK, FINISH,
+                                KILL),
+                      max_size=80),
+       num_sms=st.integers(0, 30))
+def test_order_tracks_launches_retirements_and_exits(steps, num_sms):
+    """After every step of a random run, the walk over the kept order
+    equals the reference over demands built afresh from the run's
+    current state, in the same key order. A retirement shrinks one
+    kernel's need; a finish retires its last block and leaves; a kill
+    leaves at whatever need it had."""
+    order = PartitionOrder()
+    live = {}  # key -> Demand, in launch order
+    launches = 0
+    for step in steps:
+        kind = step[0]
+        if kind == "launch":
+            _, need, fixed, weight = step
+            live[launches] = Demand(launches, need, fixed, weight)
+            order.add(launches, need, fixed, weight)
+            launches += 1
+        elif live:
+            key = list(live)[step[1] % len(live)]
+            if kind == "shrink":
+                need = max(0, live[key].needed_sms - step[2])
+                live[key] = live[key]._replace(needed_sms=need)
+                order.set_need(key, need)
+            else:
+                if kind == "finish":
+                    order.set_need(key, 0)
+                del live[key]
+                order.remove(key)
+        assert len(order) == len(live)
+        assert (list(compute_partition(order, num_sms).items())
+                == list(reference_nonzero(list(live.values()),
+                                          num_sms).items()))

@@ -8,10 +8,10 @@ maximum of 94 active kernels at each partition. Two checks ride on it:
 
 * its canonical SLO report plus QoS summary, pinned byte for byte;
 * a spy on ``KernelScheduler._targets`` that compares every partition
-  the scheduler uses with :func:`compute_partition` over freshly built
-  :class:`KernelDemand` objects (a stale cached demand fails it), and a
-  spy on ``on_sm_released`` that fails if a hand-over leaves a finished
-  kernel active.
+  the scheduler uses with the reference water-fill over demands built
+  afresh from every active kernel's progress (a need the scheduler
+  failed to re-read fails it), and a spy on ``on_sm_released`` that
+  fails if a hand-over leaves a finished kernel active.
 
 Regenerate the golden after an intentional scheduling change with
 ``PYTHONPATH=src python tests/test_saturated.py``.
@@ -27,10 +27,9 @@ import pytest
 from repro.gpu.config import GPUConfig
 from repro.harness.runner import run_periodic
 from repro.harness.scenario import ScenarioSpec, run_traffic
-from repro.sched import policy
 from repro.sched.kernel_scheduler import KernelScheduler
-from repro.sched.policy import KernelDemand
 from repro.workloads.traffic import ArrivalSpec, TenantSpec
+from tests.test_partition import Demand, reference_nonzero
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data",
                       "golden_slo_saturated.json")
@@ -100,17 +99,18 @@ class TestSaturatedGolden:
 
 
 def fresh_partition(scheduler: KernelScheduler) -> dict:
-    """The partition over demands rebuilt from every active kernel's
-    current progress, as if nothing were cached."""
+    """The reference's nonzero targets over demands rebuilt from every
+    active kernel's current progress, in launch order, as if nothing
+    were kept between calls."""
     limit = scheduler.config.max_tbs_per_sm
     demands = []
     for kid, entry in scheduler._active.items():
         kernel = entry.kernel
         unfinished = kernel.grid_tbs - kernel.stats.tbs_completed
         per_sm = min(kernel.spec.tbs_per_sm, limit)
-        demands.append(KernelDemand(kid, -(-unfinished // per_sm),
-                                    entry.fixed_demand, weight=entry.weight))
-    return policy.compute_partition(demands, scheduler.config.num_sms)
+        demands.append(Demand(kid, -(-unfinished // per_sm),
+                              entry.fixed_demand, weight=entry.weight))
+    return reference_nonzero(demands, scheduler.config.num_sms)
 
 
 @pytest.fixture
