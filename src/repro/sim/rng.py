@@ -16,10 +16,13 @@ from typing import Dict, List
 
 from repro.sim import rng_vector
 
-#: Below this batch size the numpy fill's fixed costs (state copies,
-#: array setup) outweigh the per-draw win; the scalar loop runs instead.
-#: The two paths are bit-identical either way.
-_VECTOR_MIN_N = 512
+#: Below this batch size the numpy fill's fixed costs (saving and
+#: restoring the stream's state, array set-up) outweigh the per-draw
+#: win; the scalar loop runs instead. A kernel's three batches (two
+#: lognormal, one Beta) cost the same either way at about 160 blocks:
+#: the lognormal fill alone wins from about 100, the Beta fill from
+#: about 200. The two paths are bit-identical either way.
+_VECTOR_MIN_N = 160
 
 
 def _derive_seed(root_seed: int, name: str) -> int:

@@ -1,40 +1,43 @@
-"""Bit-exact numpy vectorization of the stdlib batch draws.
+"""Bit-exact numpy fills of the stdlib batch draws.
 
-:class:`~repro.sim.rng.RngStreams` batches the whole grid's randomness
-per kernel (``lognormal_batch`` / ``beta_batch``), but until this module
-each batch still made ``n`` Python-level ``lognormvariate`` /
-``betavariate`` calls — ~37% of a periodic fluid run's wall clock. This
-module reproduces those draws with numpy array math while keeping every
-float and every Mersenne-Twister state transition **bit-identical** to
-the scalar path, so traces and cached results are byte-for-byte the
-same whichever path ran.
+:class:`~repro.sim.rng.RngStreams` draws a kernel's whole grid per
+stream (``lognormal_batch`` / ``beta_batch``). This module reproduces
+those ``lognormvariate`` / ``betavariate`` loops with array math and no
+Python loop per draw, while keeping every float and the stream's final
+Mersenne Twister state **bit-identical** to the stdlib loop, so traces
+and cached results are byte-for-byte the same whichever path ran.
 
 How bit-identity is achieved:
 
-* CPython's ``random.Random`` and numpy's ``MT19937`` bit generator are
-  the same Mersenne Twister. We copy the Python stream's 624-word state
-  into an ``MT19937``, pull raw 32-bit words with ``random_raw``, and
-  rebuild ``random()``'s exact 53-bit doubles:
-  ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``. After a batch the Python
-  stream is resynced by replaying exactly the consumed words and
-  ``setstate``-ing the result back, so interleaved scalar draws continue
-  the sequence unchanged.
+* The uniforms come from the Python stream's own words:
+  ``getrandbits(64 * m)`` yields, least significant first, exactly the
+  ``2 * m`` words that ``m`` calls of ``random()`` read, and
+  ``random()`` is ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53`` of each
+  word pair. The state is saved after the uniforms the draws are
+  certain to read; once a fill knows how many it used, it restores that
+  state and replays the rest, so later scalar draws continue the
+  sequence unchanged.
 
 * Elementwise ``+ - * /`` on float64 arrays are IEEE-754-exact, hence
   identical to the scalar arithmetic. ``np.log`` / ``np.exp`` are *not*
   bit-identical to ``math.log`` / ``math.exp`` (~1 ulp differences on a
-  fraction of inputs), so they are used only to pre-screen
-  rejection-sampling accept/reject decisions: any sample within a wide
-  margin of the acceptance boundary is re-decided with the scalar libm
-  call, and every *accepted* value that passes through a transcendental
-  is recomputed scalar-exactly before it is returned.
+  fraction of inputs), so they only screen rejection-sampling
+  decisions: a sample within a wide margin of the acceptance boundary
+  is re-decided with the scalar libm call, and every returned value
+  that passes through a transcendental is computed by mapping
+  ``math.log`` / ``math.exp`` over the accepted inputs.
 
 * The rejection loops (Kinderman-Monahan for ``normalvariate``, Cheng's
-  GB for ``gammavariate(alpha>1)``) consume a data-dependent number of
-  uniforms. The vector path reproduces the exact consumption sequence:
-  lognormal partitions the uniform block into strict (u1, u2) pairs;
-  beta walks per-position precomputed decision codes through the same
-  control flow as the scalar sampler.
+  GB for ``gammavariate(alpha > 1)``) consume a data-dependent number of
+  uniforms. Kinderman-Monahan always reads (u1, u2) pairs, so its draws
+  are the first ``n`` accepting pairs. A Beta draw reads two gamma
+  draws; each Cheng attempt reads two uniforms, except one whose u1
+  falls outside (1e-7, 1 - 1e-7), which reads one. The fill screens
+  every possible attempt start once per gamma sampler, turns the
+  decisions into a table mapping each start to where the Beta draw
+  from it ends, and finds all ``n`` draw starts by pointer doubling
+  (``ceil(log2 n)`` gathers). Values are computed only at the accepted
+  positions.
 
 Anything this module cannot reproduce exactly (``gammavariate`` with
 ``alpha < 1``, non-positive parameters) raises
@@ -44,11 +47,9 @@ loop. The exactness tests live in ``tests/test_rng_vector.py``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random as _random_mod
-import threading
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -72,90 +73,46 @@ class VectorUnsupported(Exception):
     """Raised when a draw cannot be vectorized bit-exactly."""
 
 
-class _Seat(threading.local):
-    """One MT19937 per thread, shared by that thread's _UniformBlocks:
-    the bare constructor burns ~175us seeding a SeedSequence we
-    immediately overwrite, so blocks reuse this object and re-seat its
-    state instead. ``(owner, words)`` records whose stream the generator
-    currently holds and how many raw words past that block's initial
-    state it sits — a block serial, not id(), since ids get recycled.
-    Per thread, because simulations running in threads of one process
-    would otherwise re-seat each other's generator mid-draw."""
+class _Uniforms:
+    """Doubles bit-identical to consecutive ``stream.random()`` calls,
+    read from the stream's own words, and the commit that leaves the
+    stream exactly ``consumed`` uniforms past where the fill began.
 
-    bitgen = None
-    owner = -1
-    words = -1
+    The first ``sure`` uniforms, which the fill's draws are certain to
+    read, are taken before the stream's state is saved, so a commit
+    replays only the words read after them."""
 
+    __slots__ = ("_stream", "_sure", "_state", "_u")
 
-_SEAT = _Seat()
+    def __init__(self, stream: "_random_mod.Random", sure: int):
+        self._stream = stream
+        self._sure = sure
+        self._u = self._read(sure)
+        self._state = stream.getstate()
 
-#: Block serials; ``next()`` on a count is atomic under the GIL.
-_SERIALS = itertools.count()
+    def _read(self, k: int) -> np.ndarray:
+        words = np.frombuffer(
+            self._stream.getrandbits(64 * k).to_bytes(8 * k, "little"),
+            "<u4")
+        return ((words[0::2] >> 5) * 67108864.0
+                + (words[1::2] >> 6)) * _INV53
 
-
-def _shared_bitgen():
-    bg = _SEAT.bitgen
-    if bg is None:
-        bg = _SEAT.bitgen = np.random.MT19937()
-    return bg
-
-
-class _UniformBlock:
-    """A growable block of doubles bit-identical to consecutive
-    ``stream.random()`` calls from a captured state, plus the machinery
-    to resync the Python stream after ``consumed`` of them were used."""
-
-    __slots__ = ("_version", "_gauss", "_key0", "_pos0", "_u", "_serial")
-
-    def __init__(self, state: tuple):
-        version, internal, gauss = state
-        if version != 3 or len(internal) != 625:
-            raise VectorUnsupported(f"unknown Random state version {version}")
-        self._version = version
-        self._gauss = gauss
-        self._key0 = np.array(internal[:-1], dtype=np.uint32)
-        self._pos0 = internal[-1]
-        self._u = np.empty(0, dtype=np.float64)
-        self._serial = next(_SERIALS)
-
-    def _seat(self, words_consumed: int):
-        """Point this thread's bit generator at this block's stream,
-        fast-forwarded ``words_consumed`` raw words past the initial
-        state."""
-        bg = _shared_bitgen()
-        bg.state = {
-            "bit_generator": "MT19937",
-            "state": {"key": self._key0, "pos": self._pos0},
-        }
-        if words_consumed:
-            bg.random_raw(words_consumed)
-        _SEAT.owner = self._serial
-        _SEAT.words = words_consumed
-        return bg
-
-    def uniforms(self, n: int) -> "np.ndarray":
-        """The first ``n`` uniforms of the stream (growing the block)."""
+    def first(self, m: int) -> np.ndarray:
+        """The first ``m`` uniforms from the fill's start."""
         have = self._u.size
-        if have < n:
-            if _SEAT.owner == self._serial and _SEAT.words == 2 * have:
-                bg = _SEAT.bitgen
-            else:
-                bg = self._seat(2 * have)
-            grow = max(n - have, 512)
-            raw = bg.random_raw(2 * grow)
-            _SEAT.words = 2 * have + 2 * grow
-            a = raw[0::2] >> np.uint64(5)
-            b = raw[1::2] >> np.uint64(6)
-            fresh = (a * 67108864.0 + b) * _INV53
-            self._u = np.concatenate((self._u, fresh)) if have else fresh
-        return self._u[:n]
+        if have < m:
+            self._u = np.concatenate((self._u, self._read(m - have)))
+        return self._u[:m]
 
-    def state_after(self, consumed: int) -> tuple:
-        """The Python ``getstate()`` tuple after ``consumed`` uniforms."""
-        bg = self._seat(2 * consumed)
-        st = bg.state["state"]
-        key = tuple(st["key"].tolist()) + (int(st["pos"]),)
-        return (self._version, key, self._gauss)
+    def commit(self, consumed: int) -> None:
+        self._u = None
+        self._stream.setstate(self._state)
+        self._stream.getrandbits(64 * (consumed - self._sure))
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.log`` or ``math.exp``) mapped over ``values``."""
+    return np.fromiter(map(fn, values.tolist()), np.float64, values.size)
 
 
 # ----------------------------------------------------------------------
@@ -169,12 +126,13 @@ def lognormal_fill(stream: "_random_mod.Random", mu: float, sigma: float,
     bit-exactly, leaving ``stream`` in the identical final state."""
     if n <= 0:
         return []
-    block = _UniformBlock(stream.getstate())
-    # Kinderman-Monahan accepts ~73.7% of (u1, u2) pairs; 1.5x + slack
-    # covers n w.h.p., and a shortfall just doubles and retries.
-    npairs = n + (n >> 1) + 32
+    uniforms = _Uniforms(stream, 2 * n)  # every draw reads a pair
+    # Kinderman-Monahan accepts ~73.7% of (u1, u2) pairs, so n draws
+    # read 1.356 n pairs, with a standard deviation of 0.7 sqrt(n); a
+    # shortfall just doubles and retries.
+    npairs = int(1.36 * n + 3.0 * math.sqrt(n)) + 32
     while True:
-        u = block.uniforms(2 * npairs)
+        u = uniforms.first(2 * npairs)
         u1 = u[0::2]
         u2 = 1.0 - u[1::2]
         z = NV_MAGICCONST * (u1 - 0.5) / u2
@@ -183,22 +141,17 @@ def lognormal_fill(stream: "_random_mod.Random", mu: float, sigma: float,
         accept = zz <= neg_log_u2
         # Re-decide borderline pairs with libm (np.log is ~1 ulp off).
         near = np.abs(neg_log_u2 - zz) <= _RECHECK_MARGIN * (1.0 + zz)
-        if near.any():
-            for i in np.nonzero(near)[0].tolist():
-                accept[i] = zz[i] <= -math.log(u2[i])
-        idx = np.nonzero(accept)[0]
+        for i in np.flatnonzero(near).tolist():
+            accept[i] = zz[i] <= -math.log(u2[i])
+        idx = np.flatnonzero(accept)
         if idx.size >= n:
             break
         npairs *= 2
     taken = idx[:n]
-    consumed = 2 * (int(taken[-1]) + 1)
+    uniforms.commit(2 * (int(taken[-1]) + 1))
     # mu + z*sigma is elementwise IEEE-exact; the final exp goes through
     # libm so the produced floats match lognormvariate bit-for-bit.
-    exponents = (mu + z[taken] * sigma).tolist()
-    exp = math.exp
-    out = [exp(v) for v in exponents]
-    stream.setstate(block.state_after(consumed))
-    return out
+    return list(map(math.exp, (mu + z[taken] * sigma).tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -206,90 +159,68 @@ def lognormal_fill(stream: "_random_mod.Random", mu: float, sigma: float,
 # ----------------------------------------------------------------------
 
 
-class _NeedMore(Exception):
-    """Internal: the uniform block ran out mid-walk; grow and restart."""
-
-
-#: Per-position walk codes for the Cheng sampler.
-_SKIP, _REJECT, _ACCEPT = 0, 1, 2
-
-
 class _ChengGamma:
-    """Vectorized decision codes for ``gammavariate(alpha > 1, 1.0)``
-    (Cheng 1977, algorithm GB) over one uniform block."""
+    """Screen and values of ``gammavariate(alpha > 1, 1.0)`` (Cheng
+    1977, algorithm GB)."""
 
-    __slots__ = ("alpha", "ainv", "bbb", "ccc", "codes", "regular",
-                 "next_even", "next_odd")
+    __slots__ = ("alpha", "ainv", "bbb", "ccc")
+
+    #: Uniforms an accepted attempt reads (u1, u2), and a bound on the
+    #: mean a draw reads (< 1.6 attempts).
+    width = 2
+    mean_uniforms = 3.2
 
     def __init__(self, alpha: float):
         self.alpha = alpha
         self.ainv = math.sqrt(2.0 * alpha - 1.0)
         self.bbb = alpha - LOG4
         self.ccc = alpha + self.ainv
-        self.codes: List[int] = []
-        #: True when no position in the screened block is out of range
-        #: (``_SKIP``). Every attempt then consumes exactly two
-        #: uniforms, so attempt starts stay on one parity and the walk
-        #: can jump straight to the next accepting position.
-        self.regular = False
-        #: Per-parity next-accepting-position tables (index ``p >> 1``),
-        #: sentinel = block size. Only built when ``regular``.
-        self.next_even: List[int] = []
-        self.next_odd: List[int] = []
 
-    def precompute(self, u: "np.ndarray") -> None:
-        """Screen every block position as a candidate (u1, u2) start."""
-        m = u.size
-        if m < 2:
-            self.codes = [_SKIP] * m
-            self.regular = False
-            return
-        u1 = u[:-1]
-        u2 = 1.0 - u[1:]
+    def screen(self, u1: np.ndarray, u2: np.ndarray):
+        """``(accept, in_range)`` of the attempts reading ``u1`` and
+        ``u2 = 1.0 - random()``. ``accept`` is False where u1 is out of
+        range: that attempt reads u1 alone and goes on."""
+        # The arithmetic runs in place where it can: these arrays span
+        # the whole block, and a fill's peak memory is set here.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             in_range = (1e-7 < u1) & (u1 < 0.9999999)
-            v = np.log(u1 / (1.0 - u1)) / self.ainv
-            x = self.alpha * np.exp(v)
-            zed = u1 * u1 * u2
-            r = self.bbb + self.ccc * v - x
-            c1 = r + SG_MAGICCONST - 4.5 * zed
-            accept = c1 >= 0.0
+            r = 1.0 - u1
+            np.divide(u1, r, out=r)
+            np.log(r, out=r)
+            r /= self.ainv  # v
+            x = np.exp(r)
+            x *= self.alpha
+            r *= self.ccc  # ccc * v
             # Both tests lean on np.log/np.exp; re-decide anything near
-            # either boundary with the scalar sampler's arithmetic. The
-            # second (log) test only matters where the squeeze failed or
-            # was borderline, so np.log runs on that subset only.
-            scale = 1.0 + np.abs(self.ccc * v) + np.abs(x)
-            near = in_range & (
-                np.abs(c1) <= _RECHECK_MARGIN * (scale + 4.5 * np.abs(zed)))
-            todo = np.nonzero(near | ~accept)[0]
-            if todo.size:
-                rt = r[todo]
-                logzt = np.log(zed[todo])
-                accept[todo] |= rt >= logzt
-                near_log = (np.abs(rt - logzt)
-                            <= _RECHECK_MARGIN * (scale[todo] + np.abs(logzt)))
-                near[todo] |= in_range[todo] & near_log
-        if near.any():
-            for i in np.nonzero(near)[0].tolist():
-                accept[i] = self._accept_scalar(float(u1[i]), float(u2[i]))
-        if bool(in_range.all()):
-            # Common case (u1 lands outside (1e-7, 1 - 1e-7) with
-            # probability ~2e-7 per position): build the jump tables
-            # the no-skip walk uses and keep the codes list empty.
-            self.regular = True
-            self.codes = []
-            nxt = np.where(accept, np.arange(m - 1), m)
-            self.next_even = np.minimum.accumulate(
-                nxt[0::2][::-1])[::-1].tolist()
-            self.next_odd = np.minimum.accumulate(
-                nxt[1::2][::-1])[::-1].tolist()
-        else:
-            self.regular = False
-            codes = np.where(
-                in_range,
-                np.where(accept, np.int8(_ACCEPT), np.int8(_REJECT)),
-                np.int8(_SKIP))
-            self.codes = codes.tolist()
+            # either boundary with the scalar sampler's arithmetic
+            # (0 <= zed <= 1 and x > 0 bound the terms' magnitudes).
+            scale = np.abs(r)
+            scale += 5.5
+            scale += x
+            scale *= _RECHECK_MARGIN
+            r += self.bbb
+            r -= x  # bbb + ccc * v - x
+            del x
+            zed = u1 * u1
+            zed *= u2
+            c1 = r + SG_MAGICCONST
+            c1 -= 4.5 * zed
+            accept = c1 >= 0.0
+            near = np.abs(c1, out=c1) <= scale
+            near &= in_range
+            del c1
+            # The second (log) test only matters where the squeeze
+            # failed or was borderline, so np.log runs on that subset.
+            todo = np.flatnonzero(near | ~accept)
+            rt = r[todo]
+            logzt = np.log(zed[todo])
+            accept[todo] |= rt >= logzt
+            near[todo] |= in_range[todo] & (
+                np.abs(rt - logzt)
+                <= scale[todo] + _RECHECK_MARGIN * np.abs(logzt))
+        for i in np.flatnonzero(near).tolist():
+            accept[i] = self._accept_scalar(float(u1[i]), float(u2[i]))
+        return accept & in_range, in_range
 
     def _accept_scalar(self, u1: float, u2: float) -> bool:
         v = math.log(u1 / (1.0 - u1)) / self.ainv
@@ -299,11 +230,24 @@ class _ChengGamma:
         return (r + SG_MAGICCONST - 4.5 * zed >= 0.0
                 or r >= math.log(zed))
 
+    def values(self, u1: np.ndarray) -> np.ndarray:
+        """``alpha * exp(log(u1 / (1 - u1)) / ainv)`` through libm."""
+        v = _libm(math.log, u1 / (1.0 - u1)) / self.ainv
+        return self.alpha * _libm(math.exp, v)
+
 
 class _ExpGamma:
-    """``gammavariate(1.0, 1.0)`` — the stdlib's expovariate branch."""
+    """``gammavariate(1.0, 1.0)`` — the stdlib's expovariate branch,
+    which reads one uniform."""
 
     __slots__ = ()
+
+    width = mean_uniforms = 1
+
+    @staticmethod
+    def values(u: np.ndarray) -> np.ndarray:
+        """``-log(1 - u)``; ``u == 0.0`` gives ``-0.0``, which is false."""
+        return -_libm(math.log, 1.0 - u)
 
 
 def _gamma_sampler(alpha: float):
@@ -315,6 +259,97 @@ def _gamma_sampler(alpha: float):
     raise VectorUnsupported(f"gammavariate alpha={alpha} not vectorized")
 
 
+def _cheng_ends(g: _ChengGamma, u: np.ndarray, stride: int,
+                size: int) -> np.ndarray:
+    """Where a Cheng gamma draw ends, for every start on the domain.
+
+    The domain's indices ``0 .. size - 2`` are start points (``stride``
+    1: every position; 2: even positions only, in half units), and
+    ``size - 1`` is a sentinel for a draw that runs past the block. A
+    rejected attempt moves ``step`` domain units; an accepted one ends
+    ``step`` past its start; an out-of-range u1 moves one position, off
+    the start's parity, so it only arises with ``stride`` 1.
+    """
+    step = 2 // stride
+    past = size - 1
+    accept, in_range = g.screen(u[0:-1:stride], 1.0 - u[1::stride])
+    starts = accept.size
+    stop = accept if stride == 2 else accept | ~in_range
+    # nxt[q]: the first stop (accept or skip) at or after q on q's parity.
+    nxt = np.full(size, past)
+    positions = np.arange(starts)
+    for parity in range(step):
+        cand = np.where(stop[parity::step], positions[parity::step],
+                        past)
+        nxt[parity:starts:step] = np.minimum.accumulate(cand[::-1])[::-1]
+    ends = np.minimum(nxt + step, past)
+    if stride == 1 and not in_range.all():
+        # A skip at k continues the draw from k + 1: resolve skips from
+        # the last one back (a later skip is resolved before an earlier
+        # one reads it), then send every start whose stop is a skip on.
+        skip = np.zeros(size, bool)
+        skip[:starts] = ~in_range
+        for k in np.flatnonzero(skip)[::-1].tolist():
+            ends[k] = ends[nxt[k + 1]] if skip[nxt[k + 1]] else ends[k + 1]
+        via = skip[nxt]
+        ends[via] = ends[nxt[via]]
+    return ends
+
+
+def _draw_starts(step: np.ndarray, n: int) -> np.ndarray:
+    """``s_0 .. s_n`` of the walk ``s_{i+1} = step[s_i]``, ``s_0 = 0``:
+    pointer doubling, so ``ceil(log2(n + 1))`` gathers instead of ``n``
+    steps. Squaring the jump table ``step^(2^k)`` extends the known
+    starts ``s_0 .. s_{2^k - 1}`` to ``s_0 .. s_{2^{k+1} - 1}``."""
+    starts = np.zeros(1, step.dtype)
+    jump = step
+    while True:
+        starts = np.concatenate((starts, jump[starts]))
+        if starts.size > n:
+            return starts[:n + 1]
+        jump = jump[jump]
+
+
+def _beta_from_block(ga, gb, u: np.ndarray, n: int) -> Optional[tuple]:
+    """``(values, consumed)`` of ``n`` Beta draws over the uniforms
+    ``u``, or None when the draws need more uniforms than ``u`` holds."""
+    m = u.size
+    cheng_pair = ga.width == 2 and gb.width == 2
+    # A Cheng-Cheng draw starts every attempt at an even position until
+    # an attempt at an even position reads an out-of-range u1.
+    even = u[0:m - 1:2]
+    stride = 2 if cheng_pair and bool(
+        ((1e-7 < even) & (even < 0.9999999)).all()) else 1
+    size = m // stride + 2  # start points 0 .. m // stride, sentinel
+    past = size - 1
+    if ga.width == 2:
+        a_ends = _cheng_ends(ga, u, stride, size)
+    else:
+        a_ends = np.minimum(np.arange(1, size + 1), past)
+    if gb.width == 2:
+        b_ends = a_ends if ga is gb else _cheng_ends(gb, u, stride, size)
+        step = b_ends[a_ends]
+    else:
+        step = np.minimum(a_ends + 1, past)
+    if ga.width == 1:
+        # random() == 0.0 makes y == -0.0: betavariate skips gamma(beta).
+        zero = np.zeros(size, bool)
+        zero[:m] = u == 0.0
+        step[zero] = a_ends[zero]
+    starts = _draw_starts(step, n)
+    if starts[n] == past:
+        return None
+    ends = a_ends[starts[:-1]] * stride
+    starts *= stride
+    y = ga.values(u[ends - ga.width])
+    out = np.zeros(n)
+    drawn = y != 0.0
+    y = y[drawn]
+    y2 = gb.values(u[starts[1:][drawn] - gb.width])
+    out[drawn] = y / (y + y2)
+    return out.tolist(), int(starts[n])
+
+
 def beta_fill(stream: "_random_mod.Random", alpha: float, beta: float,
               n: int) -> List[float]:
     """``[stream.betavariate(alpha, beta) for _ in range(n)]``,
@@ -324,176 +359,38 @@ def beta_fill(stream: "_random_mod.Random", alpha: float, beta: float,
     if alpha <= 0.0 or beta <= 0.0:
         raise VectorUnsupported("non-positive beta parameters")
     ga = _gamma_sampler(alpha)
-    gb = _gamma_sampler(beta)
-    block = _UniformBlock(stream.getstate())
-
-    def estimate(g) -> float:
-        # Cheng's GB needs < 1.5 attempts/draw on average (2 uniforms
-        # each); the expovariate branch needs exactly one uniform.
-        return 1.0 if isinstance(g, _ExpGamma) else 3.2
-
-    # The screening passes cost O(block), so size the block from the
-    # observed uniforms-per-draw of earlier fills with these parameters
+    gb = ga if beta == alpha else _gamma_sampler(beta)
+    # The screens and gathers cost O(block), so size the block from the
+    # mean uniforms a draw read in earlier fills with these parameters
     # (the fluid model redraws the same few (alpha, beta) pairs all
-    # run). The 1.2x headroom makes a shortfall — which doubles the
-    # block and rescreens — vanishingly rare for the batch sizes the
-    # vector path handles. First call falls back to the worst case.
-    rate = _consumption_rate.get((alpha, beta))
-    if rate is None:
-        m = int(n * (estimate(ga) + estimate(gb))) + 64
+    # run), plus about four standard deviations of the n draws' total
+    # and of that mean's error (a draw's reads vary by under 2.2
+    # uniforms). A shortfall doubles the block and walks again. The
+    # first fill assumes the worst case.
+    used, drawn = _consumed.get((alpha, beta), (0, 0))
+    if drawn:
+        m = int(n * used / drawn + 9.0 * math.sqrt(n + n * n / drawn)) + 64
     else:
-        m = int(n * rate * 1.2) + 64
+        m = int(n * (ga.mean_uniforms + gb.mean_uniforms)) + 64
+    # Every draw reads at least the first gamma's accepted attempt and,
+    # unless that gamma is exponential (which may return 0.0), the
+    # second's.
+    sure = n * (ga.width + gb.width if ga.width == 2 else 1)
+    uniforms = _Uniforms(stream, sure)
     while True:
-        u = block.uniforms(m)
-        u_list = u.tolist()
-        regular = True
-        for g in (ga, gb):
-            if isinstance(g, _ChengGamma):
-                g.precompute(u)
-                regular = regular and g.regular
-        try:
-            if regular:
-                out, consumed = _beta_walk_fast(ga, gb, u_list, n)
-            else:
-                out, consumed = _beta_walk(ga, gb, u_list, n)
-        except _NeedMore:
-            m *= 2
-            continue
-        break
-    if n >= 64:  # small batches give too noisy an estimate
-        _consumption_rate[(alpha, beta)] = consumed / n
-    stream.setstate(block.state_after(consumed))
+        walk = _beta_from_block(ga, gb, uniforms.first(m), n)
+        if walk is not None:
+            break
+        m *= 2
+    out, consumed = walk
+    _consumed[(alpha, beta)] = (used + consumed, drawn + n)
+    uniforms.commit(consumed)
     return out
 
 
-#: Observed uniforms consumed per beta draw, keyed by (alpha, beta) —
-#: a performance cache only; block sizing never affects the values.
-_consumption_rate: dict = {}
-
-
-def _beta_walk_fast(ga, gb, u_list: List[float],
-                    n: int) -> Tuple[List[float], int]:
-    """No-skip beta walk: jump straight to each accepting attempt.
-
-    Valid only when every Cheng position in the block is in range
-    (``regular``), so rejected attempts always consume two uniforms and
-    a gamma draw starting at position ``p`` accepts at the first
-    same-parity position the precomputed tables point to. Produces the
-    identical value/consumption sequence as :func:`_beta_walk`.
-    """
-    m = len(u_list)
-    limit = m - 1
-    pos = 0
-    out: List[float] = []
-    append = out.append
-    log = math.log
-    exp = math.exp
-    a_exp = isinstance(ga, _ExpGamma)
-    b_exp = isinstance(gb, _ExpGamma)
-    if not a_exp:
-        a_even, a_odd = ga.next_even, ga.next_odd
-        a_alpha, a_ainv = ga.alpha, ga.ainv
-    if not b_exp:
-        b_even, b_odd = gb.next_even, gb.next_odd
-        b_alpha, b_ainv = gb.alpha, gb.ainv
-    for _ in range(n):
-        if a_exp:
-            if pos >= m:
-                raise _NeedMore
-            y = -log(1.0 - u_list[pos]) * 1.0
-            pos += 1
-        else:
-            if pos >= limit:
-                raise _NeedMore
-            j = a_odd[pos >> 1] if pos & 1 else a_even[pos >> 1]
-            if j >= limit:
-                raise _NeedMore
-            uu = u_list[j]
-            y = (a_alpha * exp(log(uu / (1.0 - uu)) / a_ainv)) * 1.0
-            pos = j + 2
-        if y:
-            if b_exp:
-                if pos >= m:
-                    raise _NeedMore
-                y2 = -log(1.0 - u_list[pos]) * 1.0
-                pos += 1
-            else:
-                if pos >= limit:
-                    raise _NeedMore
-                j = b_odd[pos >> 1] if pos & 1 else b_even[pos >> 1]
-                if j >= limit:
-                    raise _NeedMore
-                uu = u_list[j]
-                y2 = (b_alpha * exp(log(uu / (1.0 - uu)) / b_ainv)) * 1.0
-                pos = j + 2
-            append(y / (y + y2))
-        else:
-            append(0.0)
-    return out, pos
-
-
-def _beta_walk(ga, gb, u_list: List[float],
-               n: int) -> Tuple[List[float], int]:
-    """Replay betavariate's control flow over the precomputed codes.
-
-    The two gamma draws are inlined (no per-draw calls): this loop runs
-    twice per output value on the fluid model's hottest RNG stream.
-    """
-    m = len(u_list)
-    pos = 0
-    out: List[float] = []
-    append = out.append
-    log = math.log
-    exp = math.exp
-    a_exp = isinstance(ga, _ExpGamma)
-    b_exp = isinstance(gb, _ExpGamma)
-    a_codes = None if a_exp else ga.codes
-    b_codes = None if b_exp else gb.codes
-    for _ in range(n):
-        if a_exp:
-            if pos >= m:
-                raise _NeedMore
-            y = -log(1.0 - u_list[pos]) * 1.0
-            pos += 1
-        else:
-            while True:
-                if pos + 1 >= m:
-                    raise _NeedMore
-                code = a_codes[pos]
-                if code == _SKIP:
-                    pos += 1
-                    continue
-                if code == _ACCEPT:
-                    uu = u_list[pos]
-                    y = (ga.alpha * exp(log(uu / (1.0 - uu)) / ga.ainv)) * 1.0
-                    pos += 2
-                    break
-                pos += 2
-        if y:
-            if b_exp:
-                if pos >= m:
-                    raise _NeedMore
-                y2 = -log(1.0 - u_list[pos]) * 1.0
-                pos += 1
-            else:
-                while True:
-                    if pos + 1 >= m:
-                        raise _NeedMore
-                    code = b_codes[pos]
-                    if code == _SKIP:
-                        pos += 1
-                        continue
-                    if code == _ACCEPT:
-                        uu = u_list[pos]
-                        y2 = (gb.alpha
-                              * exp(log(uu / (1.0 - uu)) / gb.ainv)) * 1.0
-                        pos += 2
-                        break
-                    pos += 2
-            append(y / (y + y2))
-        else:
-            append(0.0)
-    return out, pos
+#: (uniforms, draws) over the Beta fills so far, keyed by (alpha, beta):
+#: a sizing estimate only; block sizing never affects the values.
+_consumed: dict = {}
 
 
 __all__ = ["VectorUnsupported", "beta_fill", "lognormal_fill"]

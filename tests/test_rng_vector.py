@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,20 @@ NONIDEM_BETA_PAIRS = (
 
 N = 700  # above the _VECTOR_MIN_N gate, small enough to stay fast
 
+#: Fill sizes on both sides of the ``_VECTOR_MIN_N`` gate, down to one
+#: draw: the fills must be exact at any size, not only where the gate
+#: sends them.
+SIZES = (1, 2, 7, _VECTOR_MIN_N - 1, _VECTOR_MIN_N)
+
+
+def _sized(cases, ids):
+    """``cases`` at size ``N`` under their usual ids, then at every
+    size in ``SIZES`` with the size added to the id."""
+    return ([pytest.param(*case, N, id=name)
+             for case, name in zip(cases, ids)]
+            + [pytest.param(*case, n, id=f"{name}-n{n}")
+               for case, name in zip(cases, ids) for n in SIZES])
+
 
 def _stdlib_lognormals(seed, mu, sigma, n):
     ref = random.Random(seed)
@@ -41,14 +56,36 @@ def _stdlib_betas(seed, alpha, beta, n):
     return [ref.betavariate(alpha, beta) for _ in range(n)], ref.getstate()
 
 
+def _stream_with_zero_uniforms(seed, indices):
+    """``random.Random(seed)`` one draw in, with the uniforms its next
+    draws read at ``indices`` set to exactly 0.0. Each uniform is a pair
+    of words at the state's read position onward, and MT19937's
+    tempering maps a zero word to zero, so zeroing both words of a pair
+    makes that ``random()`` return 0.0. Every index stays inside the
+    current 624-word block, so the next twist sees the same state on
+    both sides of a comparison."""
+    stream = random.Random(seed)
+    stream.random()
+    version, internal, gauss = stream.getstate()
+    words = list(internal)
+    pos = words[-1]
+    for k in indices:
+        assert pos + 2 * k + 1 < 624
+        words[pos + 2 * k] = words[pos + 2 * k + 1] = 0
+    stream.setstate((version, tuple(words), gauss))
+    return stream
+
+
 class TestLognormalFill:
-    @pytest.mark.parametrize("seed", [0, 1, 12345, 987654321])
+    @pytest.mark.parametrize("seed,n", _sized(
+        [(0,), (1,), (12345,), (987654321,)],
+        ["0", "1", "12345", "987654321"]))
     @pytest.mark.parametrize("mu,sigma", [
         (0.0, 1.0), (2.3, 0.4), (-1.0, 2.0)])
-    def test_bit_exact_vs_stdlib(self, seed, mu, sigma):
-        want, want_state = _stdlib_lognormals(seed, mu, sigma, N)
+    def test_bit_exact_vs_stdlib(self, seed, n, mu, sigma):
+        want, want_state = _stdlib_lognormals(seed, mu, sigma, n)
         stream = random.Random(seed)
-        got = rng_vector.lognormal_fill(stream, mu, sigma, N)
+        got = rng_vector.lognormal_fill(stream, mu, sigma, n)
         assert got == want
         assert stream.getstate() == want_state
 
@@ -68,11 +105,12 @@ class TestLognormalFill:
 
 
 class TestBetaFill:
-    @pytest.mark.parametrize("alpha,beta", NONIDEM_BETA_PAIRS)
-    def test_bit_exact_vs_stdlib(self, alpha, beta):
-        want, want_state = _stdlib_betas(7, alpha, beta, N)
+    @pytest.mark.parametrize("alpha,beta,n", _sized(
+        NONIDEM_BETA_PAIRS, [f"{a}-{b}" for a, b in NONIDEM_BETA_PAIRS]))
+    def test_bit_exact_vs_stdlib(self, alpha, beta, n):
+        want, want_state = _stdlib_betas(7, alpha, beta, n)
         stream = random.Random(7)
-        got = rng_vector.beta_fill(stream, alpha, beta, N)
+        got = rng_vector.beta_fill(stream, alpha, beta, n)
         assert got == want
         assert stream.getstate() == want_state
 
@@ -85,41 +123,68 @@ class TestBetaFill:
         assert [stream.random() for _ in range(16)] == \
             [ref.random() for _ in range(16)]
 
-    def test_irregular_block_falls_back_to_code_walk(self, monkeypatch):
-        """Force ``regular=False`` so beta_fill takes the per-code
-        ``_beta_walk`` instead of the jump-table fast walk — the
-        fallback must be just as bit-exact."""
-        walked = []
-        original = rng_vector._beta_walk
+    @pytest.mark.parametrize("alpha,beta", [
+        (8.0, 2.0), (2.5, 3.5), (2.0, 1.5), (200.0, 1.0)])
+    @pytest.mark.parametrize("zeros", [
+        (0,), (40, 41, 42, 43), (0, 1, 2, 3, 4, 5, 6, 7, 101)])
+    def test_cheng_attempt_reading_out_of_range_u1(self, alpha, beta,
+                                                   zeros):
+        """A Cheng attempt whose u1 is <= 1e-7 reads that one uniform
+        and tries again, which flips the parity of every later attempt
+        start. Uniform 0 is the first attempt's u1. Of four zeros in a
+        row, one is a u1: a u2 follows an in-range u1, and after the
+        exponential draw of Beta(alpha, 1) the next draw's first
+        attempt reads a u1."""
+        for n in (3, N):
+            ref = _stream_with_zero_uniforms(5, zeros)
+            want = [ref.betavariate(alpha, beta) for _ in range(n)]
+            stream = _stream_with_zero_uniforms(5, zeros)
+            assert rng_vector.beta_fill(stream, alpha, beta, n) == want
+            assert stream.getstate() == ref.getstate()
 
-        def spy(ga, gb, u_list, n):
-            walked.append(n)
-            return original(ga, gb, u_list, n)
+    @pytest.mark.parametrize("alpha,beta", [
+        (1.0, 1.0), (1.0, 5.0), (1.0, 1.5)])
+    def test_exponential_branch_reading_zero(self, alpha, beta):
+        """``gammavariate(1.0)`` returns ``-log(1 - random())``, which is
+        ``-0.0`` when ``random()`` is 0.0: betavariate then returns 0.0
+        without drawing the second gamma. Uniform 0 is the first draw's
+        exponential read."""
+        for zeros in [(0,), (0, 30, 31)]:
+            ref = _stream_with_zero_uniforms(9, zeros)
+            want = [ref.betavariate(alpha, beta) for _ in range(N)]
+            assert want[0] == 0.0
+            stream = _stream_with_zero_uniforms(9, zeros)
+            assert rng_vector.beta_fill(stream, alpha, beta, N) == want
+            assert stream.getstate() == ref.getstate()
 
-        def irregular(self, u):
-            # Screen every position scalarly and report the block as
-            # irregular; production only populates ``codes`` on this
-            # branch, so build them here too.
-            u_list = u.tolist()
-            codes = []
-            for i in range(len(u_list) - 1):
-                u1, u2 = u_list[i], 1.0 - u_list[i + 1]
-                if 1e-7 < u1 < 0.9999999:
-                    codes.append(rng_vector._ACCEPT
-                                 if self._accept_scalar(u1, u2)
-                                 else rng_vector._REJECT)
-                else:
-                    codes.append(rng_vector._SKIP)
-            self.codes = codes
-            self.regular = False
-
-        monkeypatch.setattr(rng_vector._ChengGamma, "precompute", irregular)
-        monkeypatch.setattr(rng_vector, "_beta_walk", spy)
-        want, want_state = _stdlib_betas(11, 8.0, 2.0, N)
-        stream = random.Random(11)
-        assert rng_vector.beta_fill(stream, 8.0, 2.0, N) == want
+    @pytest.mark.parametrize("alpha,beta", [
+        (8.0, 2.0), (200.0, 1.0), (1.0, 1.0)])
+    def test_undersized_block_grows(self, alpha, beta, monkeypatch):
+        """A block sized from a consumption estimate far too low runs
+        out mid-walk: the fill doubles it and walks again, to the same
+        draws and final state."""
+        monkeypatch.setattr(rng_vector, "_consumed",
+                            {(alpha, beta): (1, 10**9)})
+        want, want_state = _stdlib_betas(3, alpha, beta, N)
+        stream = random.Random(3)
+        assert rng_vector.beta_fill(stream, alpha, beta, N) == want
         assert stream.getstate() == want_state
-        assert walked  # the fallback actually ran
+
+    def test_large_fill_peak_memory(self, monkeypatch):
+        """One 21,600-draw Beta(8, 2) fill (a BP grid, a 0.7 MB result)
+        peaks under 8 MB of traced memory. The consumption estimate is
+        emptied so the fill sizes its block for the worst case, as a
+        process's first fill does."""
+        monkeypatch.setattr(rng_vector, "_consumed", {})
+        stream = random.Random(12345)
+        tracemalloc.start()
+        try:
+            got = rng_vector.beta_fill(stream, 8.0, 2.0, 21_600)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 21_600
+        assert peak < 8_000_000, f"peak {peak / 1e6:.1f} MB"
 
     def test_alpha_below_one_is_unsupported(self):
         with pytest.raises(rng_vector.VectorUnsupported):
@@ -130,11 +195,11 @@ class TestBetaFill:
             rng_vector.beta_fill(random.Random(1), 0.0, 2.0, 16)
 
 
-class TestSharedBitgenInterleaving:
+class TestInterleavedStreams:
     def test_interleaved_streams_keep_exactness(self):
-        """Alternating fills from two distinct streams churn the shared
-        numpy bit generator's block ownership; every fill must still be
-        bit-exact and leave its own stream correctly advanced."""
+        """Alternating fills from two distinct streams: every fill must
+        be bit-exact and leave its own stream correctly advanced, with
+        nothing carried from one fill to the next."""
         ref_a, ref_b = random.Random(1), random.Random(2)
         sa, sb = random.Random(1), random.Random(2)
         for _ in range(3):
@@ -161,7 +226,7 @@ class TestRngStreamsGate:
         streams.lognormal_batch("a", 10.0, 0.3, _VECTOR_MIN_N - 1)
         streams.beta_batch("b", 8.0, 2.0, _VECTOR_MIN_N - 1)
 
-    @pytest.mark.parametrize("n", [_VECTOR_MIN_N, 2000])
+    @pytest.mark.parametrize("n", sorted({_VECTOR_MIN_N, 512, 2000}))
     def test_vector_and_scalar_batches_identical(self, n, monkeypatch):
         filled = []
 
@@ -191,8 +256,8 @@ class TestRngStreamsGate:
 class TestThreadedFills:
     def test_concurrent_batches_match_serial(self):
         """Simulations in threads of one process (the daemon's inline
-        slots) draw exactly what they draw alone: each thread seats its
-        own bit generator, so no fill re-seats another's mid-draw."""
+        slots) draw exactly what they draw alone: a fill keeps its state
+        in locals and its own stream, so no fill disturbs another's."""
         n = 600
         seeds = (11, 12, 13, 14)
 
