@@ -9,11 +9,15 @@ only information a real scheduler would have:
 * **Switch** — latency is the block's context over the SM's bandwidth
   share; overhead is the block's rate times twice that latency (save +
   restore stall).
-* **Drain** — the remaining instruction count is *estimated* as the
-  kernel's observed mean instructions per completed block minus the
-  block's executed count (the true total is unknown to hardware);
-  latency multiplies that by the block's observed CPI. Overhead is the
-  executed-instruction spread below the furthest block on the SM.
+* **Drain** — the block's total instruction count is unknown to
+  hardware, so it is bounded from the kernel's completed blocks:
+  ``max(mean + 3σ, observed max)`` (``safety_sigmas`` defaults to 3;
+  see :meth:`OnlineKernelStats.conservative_tb_insts`). The bound is
+  trusted only after ``MIN_SAMPLES`` (8) completions; before that, and
+  once the block has executed past the bound, the latency is
+  ``CONSERVATIVE``. Otherwise the latency is the bound minus the
+  block's executed count, times the block's observed CPI. Overhead is
+  the executed-instruction spread below the furthest block on the SM.
 * **Flush** — zero latency, overhead equal to the executed instructions
   that would be discarded. Unavailable once the block has passed its
   non-idempotent point (or, under the strict condition, whenever the
@@ -41,26 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Conservative stand-in when a statistic is unavailable.
 CONSERVATIVE = math.inf
-
-
-def _estimate_skew(kernel_id: int) -> Optional[float]:
-    """Fault-injected cost-model skew for one kernel launch, or None.
-
-    Imported lazily: the fault registry lives in the harness layer, and
-    a module-level import here would cycle through
-    ``repro.harness.__init__`` back into this module.
-    """
-    from repro.harness import faults
-
-    return faults.estimate_skew(kernel_id)
-
-
-def _skewed(latency: float, tb: ThreadBlock) -> float:
-    """Apply any ``corrupt-estimate`` fault to a latency estimate."""
-    if not math.isfinite(latency):
-        return latency
-    skew = _estimate_skew(tb.kernel.kernel_id)
-    return latency if skew is None else latency * skew
 
 
 @dataclass(frozen=True)
@@ -194,7 +178,8 @@ class CostEstimator:
             overhead = CONSERVATIVE
         else:
             overhead = 2.0 * latency / cpi
-        return TBCost(tb, Technique.SWITCH, _skewed(latency, tb), overhead)
+        return TBCost(tb, Technique.SWITCH,
+                      latency * self.config.estimate_skew, overhead)
 
     def drain_cost(self, tb: ThreadBlock, stats: OnlineKernelStats,
                    max_executed: float) -> TBCost:
@@ -211,7 +196,8 @@ class CostEstimator:
             remaining = total - tb.executed_insts
             latency = remaining * cpi
         overhead = max(0.0, max_executed - tb.executed_insts)
-        return TBCost(tb, Technique.DRAIN, _skewed(latency, tb), overhead)
+        return TBCost(tb, Technique.DRAIN,
+                      latency * self.config.estimate_skew, overhead)
 
     def flush_cost(self, tb: ThreadBlock) -> Optional[TBCost]:
         """None when flushing is illegal for this block right now."""

@@ -8,6 +8,7 @@ memory subsystem with 6 partitions totalling 177.4 GB/s.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -78,6 +79,16 @@ class GPUConfig:
     #: ``budget × (1 + qos_slack)``. Defaults to ``CHIMERA_QOS_SLACK``.
     qos_slack: float = field(default_factory=_default_qos_slack)
 
+    #: Straggler drain: a block put into drain takes this multiple of
+    #: its remaining time. Perturbs the machine so the QoS guard's
+    #: detection and escalation branches fire on purpose.
+    drain_stall: float = 1.0
+
+    #: Cost-model skew: multiplies the switch and drain latencies the
+    #: cost model predicts (not the flush latency), so a skew below 1
+    #: under-predicts and the realized latency overruns the plan.
+    estimate_skew: float = 1.0
+
     def __post_init__(self) -> None:
         if self.num_sms < 1:
             raise ConfigError("num_sms must be >= 1")
@@ -98,6 +109,11 @@ class GPUConfig:
                 f"qos_mode must be one of {QOS_MODES}, got {self.qos_mode!r}")
         if self.qos_slack < 0:
             raise ConfigError("qos_slack must be >= 0")
+        for name in ("drain_stall", "estimate_skew"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value!r}")
 
     @property
     def bandwidth_bytes_per_cycle(self) -> float:

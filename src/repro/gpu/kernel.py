@@ -27,6 +27,8 @@ from repro.sim.rng import RngStreams
 if TYPE_CHECKING:  # pragma: no cover - avoids a gpu<->workloads cycle
     from repro.workloads.specs import KernelSpec
 
+#: Process-unique kernel ids, used as dict keys. The runners name
+#: every kernel they build, so no result depends on an id's value.
 _kernel_ids = itertools.count()
 
 
@@ -212,10 +214,4 @@ class Kernel:
         return (f"<Kernel {self.name} {self.stats.tbs_completed}/{self.grid_tbs} done>")
 
 
-def reset_kernel_ids() -> None:
-    """Restart the global kernel-id counter (test isolation helper)."""
-    global _kernel_ids
-    _kernel_ids = itertools.count()
-
-
-__all__ = ["Kernel", "KernelStats", "reset_kernel_ids"]
+__all__ = ["Kernel", "KernelStats"]

@@ -541,15 +541,11 @@ class StreamingMultiprocessor:
                              self._save_label)
 
     def _maybe_stall_drain(self, tb: ThreadBlock) -> None:
-        """Apply any ``stall-drain`` fault to a freshly draining block:
-        the straggler occupies its slot ``factor``x longer than its
-        remaining-time estimate (see :mod:`repro.harness.faults`)."""
-        # Imported lazily: the fault registry lives in the harness
-        # layer, which transitively imports this module.
-        from repro.harness import faults
-
-        factor = faults.drain_stall_factor(self.sm_id)
-        if factor is None or factor == 1.0:
+        """Apply ``config.drain_stall`` to a freshly draining block: the
+        straggler occupies its slot that many times its remaining time.
+        At 1.0 the completion event stays in place."""
+        factor = self.config.drain_stall
+        if factor == 1.0:
             return
         event = self._completion_events.pop(tb.index, None)
         if event is None:

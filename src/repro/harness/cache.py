@@ -28,11 +28,6 @@ directory listings handle worse.
 A cache on a read-only mount (CI images, shared NFS baselines) degrades
 instead of failing: entries are still served, and ``put()`` becomes a
 no-op, logged exactly once per process.
-
-While the active fault plan (:mod:`repro.harness.faults`) injects a
-sim-level fault (``stall-drain``, ``corrupt-estimate``), runs do not
-produce their spec's result, so the cache acts as disabled: a faulted
-result is never stored, and no clean entry is served to a faulted run.
 """
 
 from __future__ import annotations
@@ -105,7 +100,7 @@ class ResultCache:
         key) is deleted, logged once with the reason, and reported as a
         miss.
         """
-        if not self.enabled or faults.alters_results():
+        if not self.enabled:
             return None
         path = self.path_for(key)
         try:
@@ -144,7 +139,7 @@ class ResultCache:
         once per process) instead of failing the run that computed the
         result.
         """
-        if not self.enabled or self._readonly or faults.alters_results():
+        if not self.enabled or self._readonly:
             return
         path = self.path_for(key)
         entry = CacheEntry(key=key, result=result, duration_s=duration_s)

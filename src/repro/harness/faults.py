@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the sweep harness.
+"""Deterministic fault injection for the sweep harness and the daemon.
 
 Production sweeps must survive worker crashes, hangs, and cache
 corruption — and those recovery paths are worthless if they cannot be
@@ -32,23 +32,12 @@ flaky-then-succeed; ``inf`` fires forever). Kinds:
 * ``corrupt`` — overwrite the ``index``-th cache ``put()`` of this
   process with garbage bytes, exercising corrupt-entry recovery
 
-Two further kinds inject faults into the *simulated machine* rather
-than the sweep harness, so the preemption-QoS guard's detection and
-escalation branches (:mod:`repro.sched.guard`) are exercisable
-deterministically. For these the trailing slot is a positive float
-**factor**, not an attempt budget, and ``index`` names a simulated
-entity rather than a spec position:
-
-* ``stall-drain@sm[:factor]``      — draining thread blocks on SM
-  ``sm`` (or every SM with ``*``) run ``factor``× their remaining-time
-  estimate (default 8), modeling a straggler drain
-* ``corrupt-estimate@kernel[:factor]`` — the cost model's latency
-  estimates for launch ``kernel`` come out at ``factor``× truth
-  (default 0.25, i.e. a 4× under-prediction)
-
-A run under either kind does not compute its spec's result, so the
-result cache (:mod:`repro.harness.cache`) neither stores nor serves
-entries while one is active.
+No kind changes what a spec computes, so the result cache stays on
+under every plan. The perturbations that exercise the preemption-QoS
+guard (:mod:`repro.sched.guard`), a straggler drain and a skewed cost
+estimate, are the :class:`~repro.gpu.config.GPUConfig` fields
+``drain_stall`` and ``estimate_skew``: part of the spec, and of its
+cache key.
 
 Five more kinds target the scheduling daemon (:mod:`repro.service`), so
 its crash-recovery paths are provable the same way. ``index`` names the
@@ -81,8 +70,8 @@ paths (:mod:`repro.service.overload`) deterministically:
   every slot with ``*``) take ``factor``× their real wall time (default
   8): the worker sleeps the difference after executing, so queue
   pressure builds honestly and brownout/deadline admission paths fire
-  under test without wall-clock-scale workloads. A float-factor kind
-  like ``stall-drain``.
+  under test without wall-clock-scale workloads. Its trailing slot is
+  a positive float factor, not an attempt budget.
 * ``pool-break@k``            — the ``k``-th task the executor hands
   to a worker process (0-based, counted process-locally like
   ``corrupt``) raises :class:`InjectedPoolBreak` instead of executing,
@@ -102,7 +91,7 @@ Examples::
     CHIMERA_FAULTS="fail@1"            # spec 1 fails once, retry succeeds
     CHIMERA_FAULTS="crash@0:inf"       # spec 0 always crashes its worker
     CHIMERA_FAULTS="hang@2,corrupt@0"  # spec 2 hangs; first put corrupted
-    CHIMERA_FAULTS="stall-drain@0:8"   # SM 0's drains run 8x the estimate
+    CHIMERA_FAULTS="slow-slot@*:4"     # every daemon slot runs 4x slower
     CHIMERA_FAULTS="crash-after-commit@5"  # daemon dies after record 5
 """
 
@@ -124,21 +113,16 @@ CORRUPT_PAYLOAD = b"\x00chimera fault injection: deliberately corrupt\x00"
 #: Worker exit code used by the ``crash`` fault.
 CRASH_EXIT_CODE = 13
 
-_KINDS = ("fail", "crash", "hang", "corrupt", "stall-drain",
-          "corrupt-estimate", "crash-before-commit", "crash-after-commit",
-          "torn-journal", "crash-inflight", "hang-worker", "slow-slot",
-          "pool-break")
+_KINDS = ("fail", "crash", "hang", "corrupt", "crash-before-commit",
+          "crash-after-commit", "torn-journal", "crash-inflight",
+          "hang-worker", "slow-slot", "pool-break")
 
 #: Daemon fault kinds that kill the process at a journal boundary.
 SERVICE_CRASH_KINDS = ("crash-before-commit", "crash-after-commit",
                        "torn-journal", "crash-inflight")
 
-#: Kinds that change what the simulated machine computes.
-_SIM_KINDS = ("stall-drain", "corrupt-estimate")
-
 #: Kinds whose trailing slot is a float factor, with their defaults.
-_SIM_FACTOR_DEFAULTS = {"stall-drain": 8.0, "corrupt-estimate": 0.25,
-                        "slow-slot": 8.0}
+_FACTOR_DEFAULTS = {"slow-slot": 8.0}
 
 #: PID of the process that imported this module. Forked pool workers
 #: inherit the value, so a differing ``os.getpid()`` marks a worker.
@@ -189,9 +173,8 @@ class InjectedPoolBreak(ReproError):
 class Fault:
     """One directive: a kind, a target index, a trailing number.
 
-    For harness kinds the trailing number is an attempt budget; for the
-    sim-level kinds (``stall-drain``, ``corrupt-estimate``) it is a
-    positive float factor and ``index`` names an SM / kernel launch.
+    For most kinds the trailing number is an attempt budget; for
+    ``slow-slot`` it is a positive float factor.
     """
 
     kind: str
@@ -252,9 +235,9 @@ def parse_plan(text: str) -> FaultPlan:
             if index < 0:
                 raise ConfigError(f"CHIMERA_FAULTS index must be >= 0: {part!r}")
         attempts_s = attempts_s.strip()
-        if kind in _SIM_FACTOR_DEFAULTS:
+        if kind in _FACTOR_DEFAULTS:
             if not attempts_s:
-                attempts = _SIM_FACTOR_DEFAULTS[kind]
+                attempts = _FACTOR_DEFAULTS[kind]
             else:
                 try:
                     attempts = float(attempts_s)
@@ -371,48 +354,6 @@ def should_corrupt_put(key: str) -> bool:
     return plan.corrupts_put(seq)
 
 
-def alters_results() -> bool:
-    """Does the active plan fault the simulated machine?
-
-    A run under ``stall-drain`` or ``corrupt-estimate`` does not compute
-    its spec's result, so the result cache must neither store nor serve
-    one. ``slow-slot`` only sleeps and leaves results alone.
-    """
-    plan = active_plan()
-    return plan is not None and any(f.kind in _SIM_KINDS
-                                    for f in plan.faults)
-
-
-def _sim_factor(kind: str, index: int) -> Optional[float]:
-    plan = active_plan()
-    if plan is None:
-        return None
-    for fault in plan.faults:
-        if fault.kind == kind and (fault.index is None
-                                   or fault.index == index):
-            return fault.attempts
-    return None
-
-
-def drain_stall_factor(sm_id: int) -> Optional[float]:
-    """Straggler factor for drains on ``sm_id``, or None if unfaulted.
-
-    Queried by the SM when it puts a thread block into drain: a factor
-    ``f`` makes the block take ``f``× its remaining-time estimate.
-    """
-    return _sim_factor("stall-drain", sm_id)
-
-
-def estimate_skew(kernel_id: int) -> Optional[float]:
-    """Cost-estimate skew for kernel launch ``kernel_id``, or None.
-
-    Queried by the cost model: a skew ``s`` multiplies predicted
-    latencies by ``s`` (``s < 1`` under-predicts, so the realized
-    latency overruns the plan and the QoS watchdog fires).
-    """
-    return _sim_factor("corrupt-estimate", kernel_id)
-
-
 def service_crash_point(kind: str, seq: int) -> None:
     """Fire a daemon crash fault at a journal boundary, if planned.
 
@@ -462,7 +403,14 @@ def slow_slot_factor(slot: int) -> Optional[float]:
     as if the machine were ``factor``× slower — without wall-clock-scale
     workloads in tests or CI.
     """
-    return _sim_factor("slow-slot", slot)
+    plan = active_plan()
+    if plan is None:
+        return None
+    for fault in plan.faults:
+        if fault.kind == "slow-slot" and (fault.index is None
+                                          or fault.index == slot):
+            return fault.attempts
+    return None
 
 
 def inject_pool_break() -> None:
@@ -507,10 +455,7 @@ __all__ = [
     "InjectedPoolBreak",
     "SERVICE_CRASH_KINDS",
     "active_plan",
-    "alters_results",
     "clear",
-    "drain_stall_factor",
-    "estimate_skew",
     "hang_seconds",
     "in_worker",
     "inject_before_execute",

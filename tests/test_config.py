@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.errors import ConfigError
@@ -70,6 +72,8 @@ class TestGPUConfig:
         {"memory_bandwidth_gbps": 0},
         {"num_memory_partitions": 0},
         {"shared_memory_bytes": -1},
+        *({name: bad} for name in ("drain_stall", "estimate_skew")
+          for bad in (0.0, -1.0, math.inf, math.nan)),
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):

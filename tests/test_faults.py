@@ -112,33 +112,20 @@ class TestPlanParsing:
             assert plan.fires("hang", 1, 0) and not plan.fires("fail", 3, 0)
         assert faults.active_plan().fires("fail", 3, 0)
 
-    def test_sim_kinds_get_default_factors(self):
-        plan = faults.parse_plan("stall-drain@0,corrupt-estimate@*")
-        kinds = [(f.kind, f.index, f.attempts) for f in plan.faults]
-        assert kinds == [("stall-drain", 0, 8.0),
-                         ("corrupt-estimate", None, 0.25)]
-
-    def test_sim_kinds_accept_explicit_factors(self):
-        plan = faults.parse_plan("stall-drain@2:3.5, corrupt-estimate@1:0.5")
-        kinds = [(f.kind, f.index, f.attempts) for f in plan.faults]
-        assert kinds == [("stall-drain", 2, 3.5),
-                         ("corrupt-estimate", 1, 0.5)]
-
     @pytest.mark.parametrize("bad", [
-        "stall-drain@0:0", "stall-drain@0:-2", "stall-drain@0:inf",
-        "corrupt-estimate@0:nan", "corrupt-estimate@0:fast",
+        "slow-slot@0:0", "slow-slot@0:-2", "slow-slot@0:inf",
+        "slow-slot@0:nan", "slow-slot@0:fast",
     ])
     def test_sim_factors_must_be_positive_finite(self, bad):
         with pytest.raises(ConfigError):
             faults.parse_plan(bad)
 
-    def test_sim_factor_helpers(self):
-        with faults.injected("stall-drain@0:4,corrupt-estimate@*:0.5"):
-            assert faults.drain_stall_factor(0) == 4.0
-            assert faults.drain_stall_factor(1) is None
-            assert faults.estimate_skew(3) == 0.5
-        assert faults.drain_stall_factor(0) is None
-        assert faults.estimate_skew(3) is None
+    @pytest.mark.parametrize("gone", ["stall-drain@0", "corrupt-estimate@0"])
+    def test_machine_perturbations_are_not_fault_kinds(self, gone):
+        """A straggler drain and a skewed estimate are GPUConfig
+        fields, part of the spec; the fault plan no longer knows them."""
+        with pytest.raises(ConfigError, match="bad CHIMERA_FAULTS entry"):
+            faults.parse_plan(gone)
 
 
 class TestDaemonFaultDirectives:

@@ -9,7 +9,8 @@ per-call chain they replace. That chain lives here as the test-local
 ``listener.on_tb_complete``), and the reference run also forces every
 batch draw through the stdlib loop. Random scenarios — pair and
 periodic runs across preemption policies, seeds, QoS guard modes and
-injected faults — are executed once per engine and compared on
+perturbed machines (``drain_stall``, ``estimate_skew``) — are executed
+once per engine and compared on
 
 * the full result dataclass (metrics, per-benchmark rollups and the
   QoS guard ledger), both structurally and through a canonical JSON
@@ -33,9 +34,7 @@ from hypothesis import strategies as st
 
 from repro.gpu import gpu as gpu_mod
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernel import reset_kernel_ids
 from repro.gpu.sm import SMState, StreamingMultiprocessor
-from repro.harness import faults
 from repro.harness.runner import run_pair, run_periodic, run_solo
 from repro.sched.kernel_scheduler import SchedulerMode
 from repro.sim import rng as rng_mod
@@ -96,7 +95,6 @@ def _observe(reference: bool, scenario):
     """Run ``scenario(tracer)`` on the runtime engine or, with
     ``reference``, on :class:`ReferenceSM` with every batch draw on the
     stdlib loop; return (result, trace)."""
-    reset_kernel_ids()
     tracer = Tracer()
     with pytest.MonkeyPatch.context() as mp:
         if reference:
@@ -159,35 +157,31 @@ class TestPeriodicDifferential:
 
 
 class TestFaultDifferential:
-    """Injected faults must perturb both engines identically."""
+    """A perturbed machine must perturb both engines identically."""
 
-    @pytest.mark.parametrize("plan", [
-        "stall-drain@0:4",
-        "corrupt-estimate@*:0.5",
-        "stall-drain@0:4,corrupt-estimate@*:0.5",
+    @pytest.mark.parametrize("perturbation", [
+        pytest.param(dict(drain_stall=4.0), id="drain_stall"),
+        pytest.param(dict(estimate_skew=0.5), id="estimate_skew"),
+        pytest.param(dict(drain_stall=4.0, estimate_skew=0.5), id="both"),
     ])
-    def test_periodic_under_faults(self, plan):
-        config = GPUConfig(qos_mode="escalate")
-
-        def scenario(tracer):
-            with faults.injected(plan):
-                return run_periodic("BS", "drain", periods=2,
-                                    config=config, tracer=tracer)
-
-        assert_paths_identical(scenario)
+    def test_periodic_under_faults(self, perturbation):
+        config = GPUConfig(qos_mode="escalate", **perturbation)
+        assert_paths_identical(
+            lambda tracer: run_periodic("BS", "drain", periods=2,
+                                        config=config, tracer=tracer))
 
     def test_strict_qos_failure_is_identical(self):
         """A guard blow-up under ``strict`` must raise the same error
         at the same point on both engines (the partial trace agrees)."""
-        config = GPUConfig(qos_mode="strict", qos_slack=0.0)
+        config = GPUConfig(qos_mode="strict", qos_slack=0.0,
+                           drain_stall=64.0)
 
         def scenario(tracer):
-            with faults.injected("stall-drain@*:64"):
-                try:
-                    run_periodic("BS", "drain", periods=2,
-                                 config=config, tracer=tracer)
-                except Exception as exc:
-                    return ("raised", type(exc).__name__, str(exc))
+            try:
+                run_periodic("BS", "drain", periods=2,
+                             config=config, tracer=tracer)
+            except Exception as exc:
+                return ("raised", type(exc).__name__, str(exc))
             return ("completed",)
 
         reference, reference_trace = _observe(True, scenario)

@@ -1,9 +1,9 @@
 """Tests for the preemption QoS guard (repro.sched.guard).
 
 The deterministic scenario used throughout: one SM draining thread
-blocks whose completion the ``stall-drain`` fault delays by a factor,
+blocks whose completion ``GPUConfig.drain_stall`` delays by a factor,
 supervised by a guard whose budget equals the honest remaining-time
-estimate. The fault makes the drain blow its deadline, and each
+estimate. The stall makes the drain blow its deadline, and each
 GuardPolicy must react per its contract:
 
 * ``off``      — nothing happens mid-flight; the overrun is still
@@ -20,7 +20,7 @@ import math
 
 import pytest
 
-from repro.core.cost import CostEstimator, SMPlan, TBCost
+from repro.core.cost import CostEstimator, OnlineKernelStats, SMPlan, TBCost
 from repro.core.chimera import make_policy, plan_escalation
 from repro.core.techniques import Technique
 from repro.errors import ConfigError, EscalationError, PreemptionDeadlineError
@@ -28,7 +28,6 @@ from repro.gpu.config import GPUConfig
 from repro.gpu.gpu import GPU
 from repro.gpu.memory import MemorySubsystem
 from repro.gpu.sm import StreamingMultiprocessor
-from repro.harness import faults
 from repro.metrics.qos import QoSLedger, QoSRecord, TechniqueSample
 from repro.sched.guard import GuardPolicy, PreemptionGuard
 from repro.sched.kernel_scheduler import KernelScheduler, SchedulerMode
@@ -70,8 +69,8 @@ class Scenario:
     """One guarded single-SM preemption, fully deterministic."""
 
     def __init__(self, mode, *, slack=0.25, n_tbs=1, trace=True,
-                 spec_overrides=None):
-        self.config = GPUConfig()
+                 spec_overrides=None, config=None):
+        self.config = config or GPUConfig()
         self.engine = Engine()
         self.tracer = Tracer() if trace else None
         if self.tracer is not None and mode != "off":
@@ -125,14 +124,14 @@ class Scenario:
 def _stalled_drain(mode, factor=8.0, slack=0.25):
     """The acceptance scenario: one draining block stalled ``factor``×
     past its honest estimate, budget == the estimate."""
-    scenario = Scenario(mode, slack=slack)
+    scenario = Scenario(mode, slack=slack,
+                        config=GPUConfig(drain_stall=factor))
     scenario.engine.run(until=100.0)
     scenario.sm.advance()
     tb = scenario.tbs[0]
     budget = tb.remaining_cycles
-    with faults.injected(f"stall-drain@0:{factor}"):
-        record = scenario.preempt({tb: Technique.DRAIN}, budget)
-        scenario.engine.run()
+    record = scenario.preempt({tb: Technique.DRAIN}, budget)
+    scenario.engine.run()
     return scenario, record, budget
 
 
@@ -244,15 +243,15 @@ class TestEscalateMode:
         """A block past its non-idempotent point cannot flush; the
         escalation planner moves it to a context switch instead."""
         scenario = Scenario("escalate",
-                            spec_overrides={"idempotent": False})
+                            spec_overrides={"idempotent": False},
+                            config=GPUConfig(drain_stall=8.0))
         scenario.engine.run(until=100.0)
         scenario.sm.advance()
         tb = scenario.tbs[0]
         tb.nonidem_at = 1.0  # already executed past it
         budget = tb.remaining_cycles
-        with faults.injected("stall-drain@0:8"):
-            record = scenario.preempt({tb: Technique.DRAIN}, budget)
-            scenario.engine.run()
+        record = scenario.preempt({tb: Technique.DRAIN}, budget)
+        scenario.engine.run()
         assert record.escalations == 1
         assert record.techniques == {Technique.SWITCH: 1}
         assert tb.state.value == "saved"
@@ -367,25 +366,23 @@ class TestEscalateErrors:
             scenario.sm.escalate({})
 
     def test_unknown_block_rejected(self):
-        scenario = Scenario("escalate")
+        scenario = Scenario("escalate", config=GPUConfig(drain_stall=8.0))
         scenario.engine.run(until=100.0)
         scenario.sm.advance()
         tb = scenario.tbs[0]
-        with faults.injected("stall-drain@0:8"):
-            scenario.preempt({tb: Technique.DRAIN},
-                             budget=tb.remaining_cycles * 100)
+        scenario.preempt({tb: Technique.DRAIN},
+                         budget=tb.remaining_cycles * 100)
         stranger = make_kernel(make_spec(), grid=1, seed=9).make_tb()
         with pytest.raises(EscalationError, match="not in flight"):
             scenario.sm.escalate({stranger: Technique.FLUSH})
 
     def test_drain_target_rejected(self):
-        scenario = Scenario("escalate")
+        scenario = Scenario("escalate", config=GPUConfig(drain_stall=8.0))
         scenario.engine.run(until=100.0)
         scenario.sm.advance()
         tb = scenario.tbs[0]
-        with faults.injected("stall-drain@0:8"):
-            scenario.preempt({tb: Technique.DRAIN},
-                             budget=tb.remaining_cycles * 100)
+        scenario.preempt({tb: Technique.DRAIN},
+                         budget=tb.remaining_cycles * 100)
         with pytest.raises(EscalationError, match="cannot escalate"):
             scenario.sm.escalate({tb: Technique.DRAIN})
 
@@ -441,37 +438,40 @@ class TestKillPath:
 
 
 class TestCorruptEstimateFault:
+    """``GPUConfig.estimate_skew`` scales the switch and drain latency
+    predictions, and only those."""
+
     def test_skews_drain_and_switch_estimates(self):
         scenario = Scenario("off", trace=False)
         scenario.engine.run(until=100.0)
         scenario.sm.advance()
         tb = scenario.tbs[0]
-        estimator = CostEstimator(scenario.config)
-        from repro.core.cost import OnlineKernelStats
-        stats = OnlineKernelStats(scenario.kernel)
-        honest = estimator.switch_cost(tb, stats).latency_cycles
-        with faults.injected(f"corrupt-estimate@{scenario.kernel.kernel_id}"):
-            skewed = estimator.switch_cost(tb, stats).latency_cycles
-        assert skewed == pytest.approx(honest * 0.25)
+        # Oracle statistics give the drain a finite latency to skew.
+        stats = OnlineKernelStats(scenario.kernel, oracle=True)
+        honest = CostEstimator(scenario.config, oracle=True)
+        skewed = CostEstimator(GPUConfig(estimate_skew=0.25), oracle=True)
+        for cost in (lambda est: est.switch_cost(tb, stats),
+                     lambda est: est.drain_cost(tb, stats, 0.0)):
+            truth = cost(honest).latency_cycles
+            assert 0 < truth < math.inf
+            assert cost(skewed).latency_cycles == truth * 0.25
 
     def test_flush_cost_immune(self):
         scenario = Scenario("off", trace=False)
         tb = scenario.tbs[0]
-        estimator = CostEstimator(scenario.config)
-        with faults.injected(f"corrupt-estimate@{scenario.kernel.kernel_id}"):
-            cost = estimator.flush_cost(tb)
-        assert cost.latency_cycles == scenario.config.flush_reset_cycles
+        config = GPUConfig(flush_reset_cycles=10.0, estimate_skew=0.25)
+        cost = CostEstimator(config).flush_cost(tb)
+        assert cost.latency_cycles == 10.0
 
 
 class TestPlanEscalation:
     def test_flushable_drain_prefers_flush(self):
-        scenario = Scenario("escalate")
+        scenario = Scenario("escalate", config=GPUConfig(drain_stall=8.0))
         scenario.engine.run(until=100.0)
         scenario.sm.advance()
         tb = scenario.tbs[0]
-        with faults.injected("stall-drain@0:8"):
-            scenario.preempt({tb: Technique.DRAIN},
-                             budget=tb.remaining_cycles * 100)
+        scenario.preempt({tb: Technique.DRAIN},
+                         budget=tb.remaining_cycles * 100)
         plan = plan_escalation(scenario.sm, CostEstimator(scenario.config))
         assert plan == {tb: Technique.FLUSH}
 

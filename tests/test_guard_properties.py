@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.techniques import Technique
 from repro.errors import PreemptionDeadlineError
-from repro.harness import faults
+from repro.gpu.config import GPUConfig
 from repro.sim import trace as T
 from repro.sim.trace_check import TraceChecker
 
@@ -44,16 +44,15 @@ scenario_params = st.fixed_dictionaries({
 def _run(mode, params):
     """Run one stalled-drain preemption under ``mode``; returns the
     scenario, the preemption record, and the budget."""
-    scenario = Scenario(mode, slack=params["slack"],
-                        n_tbs=params["n_tbs"])
+    scenario = Scenario(mode, slack=params["slack"], n_tbs=params["n_tbs"],
+                        config=GPUConfig(drain_stall=params["stall_factor"]))
     scenario.engine.run(until=100.0)
     scenario.sm.advance()
     budget = max(tb.remaining_cycles for tb in scenario.tbs)
     budget *= params["budget_frac"]
     assignments = {tb: Technique.DRAIN for tb in scenario.tbs}
-    with faults.injected(f"stall-drain@0:{params['stall_factor']}"):
-        record = scenario.preempt(assignments, budget)
-        scenario.engine.run()
+    record = scenario.preempt(assignments, budget)
+    scenario.engine.run()
     return scenario, record, budget
 
 

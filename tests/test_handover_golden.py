@@ -28,8 +28,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List
 
 from repro.gpu.config import GPUConfig
-from repro.gpu.kernel import reset_kernel_ids
-from repro.harness import faults, runner
+from repro.harness import runner
 from repro.harness.runner import run_pair, run_periodic
 from repro.sim import trace as T
 from repro.sim.trace import Tracer
@@ -47,26 +46,24 @@ PATHS = ("flush", "saved-switch", "load-abandon", "drain", "drain->flush",
          "drain->switch", "switch->flush")
 
 ESCALATE = GPUConfig(qos_mode="escalate")
+STALLED = GPUConfig(qos_mode="escalate", drain_stall=8.0)
 
-#: name -> (runner, kwargs, fault plan)
+#: name -> (runner, kwargs)
 SCENARIOS = {
     # Planned flushes and switches, a switch of a block still loading
     # its context, drains, and stalled drains escalated to flush.
     "pair LUD+BS chimera": (
         run_pair, dict(workload=MultiprogramWorkload(("LUD", "BS"), 2e6),
-                       policy_name="chimera", seed=7, config=ESCALATE),
-        "stall-drain@*:8"),
+                       policy_name="chimera", seed=7, config=STALLED)),
     # Stalled drains of blocks past their non-idempotent point
     # escalated to a context switch.
     "periodic FWT flush": (
         run_periodic, dict(label="FWT", policy_name="flush", periods=1,
-                           seed=7, config=ESCALATE),
-        "stall-drain@*:8"),
+                           seed=7, config=STALLED)),
     # Context saves that outlive the budget, escalated to flush.
     "periodic HS switch": (
         run_periodic, dict(label="HS", policy_name="switch", periods=1,
-                           seed=7, config=ESCALATE),
-        None),
+                           seed=7, config=ESCALATE)),
 }
 
 
@@ -94,10 +91,9 @@ def _capture_systems() -> Iterator[List[runner.SimSystem]]:
 
 def scenario_lines(name: str) -> List[str]:
     """Hand-over trace lines, then one line per preemption record."""
-    run, kwargs, plan = SCENARIOS[name]
-    reset_kernel_ids()
+    run, kwargs = SCENARIOS[name]
     tracer = Tracer(categories=HANDOVER_CATEGORIES, capacity=10**6)
-    with _capture_systems() as systems, faults.injected(plan or ""):
+    with _capture_systems() as systems:
         run(tracer=tracer, **kwargs)
     lines = [_line({"scenario": name})]
     lines += [_line({"t": r.time, "cat": r.category, "msg": r.message,

@@ -56,6 +56,10 @@ class TestRunSpec:
                              config=GPUConfig(num_sms=8)),
             RunSpec.periodic("BS", "chimera", periods=3, seed=9,
                              target_kernel_us=500.0),
+            RunSpec.periodic("BS", "chimera", periods=3, seed=9,
+                             config=GPUConfig(drain_stall=8.0)),
+            RunSpec.periodic("BS", "chimera", periods=3, seed=9,
+                             config=GPUConfig(estimate_skew=0.5)),
         ]
         keys = {spec.cache_key() for spec in variants}
         assert base.cache_key() not in keys
@@ -187,23 +191,22 @@ class TestResultCache:
         assert cache.get(spec.cache_key()) is None
         assert not path.exists()
 
-    def test_sim_faults_bypass_the_cache(self, tmp_path, monkeypatch):
-        """A run under a sim-level fault computes another result under
-        the same key: it must neither poison the cache for clean runs
-        nor be served a clean entry."""
-        spec = RunSpec.periodic("BS", "drain", periods=2, seed=3)
-        clean = dataclasses.asdict(spec.execute())
-        monkeypatch.setenv("CHIMERA_FAULTS", "stall-drain@*:8")
-        faulted = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
-        assert dataclasses.asdict(faulted.run([spec])[0]) != clean
-        monkeypatch.delenv("CHIMERA_FAULTS")
-        runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
-        assert dataclasses.asdict(runner.run([spec])[0]) == clean
-        assert runner.last_stats.executed == 1
-        monkeypatch.setenv("CHIMERA_FAULTS", "stall-drain@*:8")
-        again = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
-        assert dataclasses.asdict(again.run([spec])[0]) != clean
-        assert again.last_stats.executed == 1
+    def test_perturbed_machine_keeps_its_own_entry(self, tmp_path):
+        """A drain-stalled spec and its clean twin are two specs: the
+        stalled run neither poisons the clean entry nor is served it."""
+        clean = RunSpec.periodic("BS", "drain", periods=2, seed=3)
+        stalled = RunSpec.periodic("BS", "drain", periods=2, seed=3,
+                                   config=GPUConfig(drain_stall=8.0))
+        assert stalled.cache_key() != clean.cache_key()
+        fresh = {spec: dataclasses.asdict(spec.execute())
+                 for spec in (clean, stalled)}
+        assert fresh[stalled] != fresh[clean]
+        SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c")).run(
+            [stalled, clean])
+        for spec in (clean, stalled):
+            warm = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "c"))
+            assert dataclasses.asdict(warm.run([spec])[0]) == fresh[spec]
+            assert warm.last_stats.executed == 0
 
     def test_results_persist_as_each_future_completes(self, tmp_path):
         """Regression: one failing spec must not discard completed
